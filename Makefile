@@ -64,12 +64,14 @@ chaos-quick: vet
 # Short fuzz passes: the prediction-server request decoders (malformed
 # JSON/binary rows must get a 4xx, never a panic), the stream window
 # checkpoint decoder (garbage must error, accepted bytes must re-encode
-# identically), and the v2 record-block decoder (corrupt blocks must fail
-# their CRC, never decode silently).
+# identically), the v2 record-block decoder (corrupt blocks must fail
+# their CRC, never decode silently), and the guide-table Locate (must equal
+# a binary search on any cut set and value).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClassifyRequest -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=10s ./internal/stream
 	$(GO) test -run='^$$' -fuzz=FuzzRecordBlock -fuzztime=10s ./internal/record
+	$(GO) test -run='^$$' -fuzz=FuzzLocate -fuzztime=10s ./internal/histogram
 
 # -run='^$' keeps the benchmark pass from re-running the unit-test suite.
 bench:

@@ -24,6 +24,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"pclouds/internal/clouds"
@@ -352,6 +353,126 @@ func BenchmarkIntervalLocate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = iv.Locate(sample[i%len(sample)])
 	}
+}
+
+// rootKernelInput is a build's root node as the large-node kernels see
+// it: Agrawal function 2 records, the root's interval structures from a
+// 2000-record sample at the default 200 intervals (199 quantile cuts per
+// attribute), and the statistics one pass accumulates over them.
+func rootKernelInput(b *testing.B, n int) (*record.Dataset, *clouds.NodeStats) {
+	b.Helper()
+	g, err := datagen.New(datagen.Config{Function: 2, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := g.Generate(n)
+	cfg := clouds.Defaults()
+	ivs := clouds.BuildIntervals(data.Schema, cfg.SampleFor(data), cfg.QRoot)
+	ns := clouds.NewNodeStats(data.Schema, ivs)
+	for _, r := range data.Records {
+		ns.Add(r)
+	}
+	return data, ns
+}
+
+// BenchmarkLocateQuantileCuts times Intervals.Locate on real quantile cuts
+// against the binary search it replaces, one op per (record, attribute).
+func BenchmarkLocateQuantileCuts(b *testing.B) {
+	data, ns := rootKernelInput(b, 50000)
+	run := func(b *testing.B, locate func(nst *clouds.NumericStats, v float64) int) {
+		b.ReportAllocs()
+		acc := 0
+		for i := 0; i < b.N; {
+			for _, r := range data.Records {
+				for j, nst := range ns.Numeric {
+					acc += locate(nst, r.Num[j])
+				}
+				if i += len(ns.Numeric); i >= b.N {
+					break
+				}
+			}
+		}
+		sinkInt += acc
+	}
+	b.Run("guide", func(b *testing.B) {
+		run(b, func(nst *clouds.NumericStats, v float64) int { return nst.Intervals.Locate(v) })
+	})
+	b.Run("binary-search", func(b *testing.B) {
+		run(b, func(nst *clouds.NumericStats, v float64) int { return sort.SearchFloat64s(nst.Intervals.Cuts, v) })
+	})
+}
+
+// sinkInt keeps kernel results alive.
+var sinkInt int
+
+// BenchmarkSortPoints times the canonical point sort on one attribute's
+// points of a direct-method-sized node, restored to arrival order before
+// every sort.
+func BenchmarkSortPoints(b *testing.B) {
+	data, _ := rootKernelInput(b, 4096)
+	src := make([]clouds.Point, data.Len())
+	for i, r := range data.Records {
+		src[i] = clouds.Point{V: r.Num[0], Class: r.Class}
+	}
+	pts := make([]clouds.Point, len(src))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(pts, src)
+		clouds.SortPoints(pts)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(src)), "ns/point")
+}
+
+// BenchmarkEvaluateAlivePass times one SSE exact-search pass at a root
+// node, as one rank of evaluateAlive runs it: locate every record's
+// values, bucket the points of alive intervals through a dense
+// [attribute][interval] index, then sort and evaluate every bucket.
+func BenchmarkEvaluateAlivePass(b *testing.B) {
+	data, ns := rootKernelInput(b, 50000)
+	best := clouds.BestBoundarySplit(ns)
+	alive := clouds.DetermineAlive(ns, best.Gini)
+	index := make([][]int32, len(ns.Numeric))
+	var sizes []int64
+	var attrOf, intervalOf []int
+	for j, nst := range ns.Numeric {
+		index[j] = make([]int32, nst.Intervals.NumIntervals())
+		for i, on := range alive.Alive[j] {
+			index[j][i] = -1
+			if on {
+				index[j][i] = int32(len(sizes))
+				sizes = append(sizes, gini.Sum(nst.Freq[i]))
+				attrOf, intervalOf = append(attrOf, j), append(intervalOf, i)
+			}
+		}
+	}
+	buckets := make([][]clouds.Point, len(sizes))
+	for k, n := range sizes {
+		buckets[k] = make([]clouds.Point, 0, n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		for k := range buckets {
+			buckets[k] = buckets[k][:0]
+		}
+		for _, r := range data.Records {
+			for j, nst := range ns.Numeric {
+				v := r.Num[j]
+				if k := index[j][nst.Intervals.Locate(v)]; k >= 0 {
+					buckets[k] = append(buckets[k], clouds.Point{V: v, Class: r.Class})
+				}
+			}
+		}
+		for k, pts := range buckets {
+			nst := ns.Numeric[attrOf[k]]
+			left := clouds.LeftBefore(nst, intervalOf[k], data.Schema.NumClasses)
+			if c := clouds.EvaluateInterval(nst.Attr, left, ns.Class, pts); c.Valid {
+				sinkInt++
+			}
+		}
+	}
+	b.ReportMetric(float64(alive.Points), "alive-points")
 }
 
 func BenchmarkRecordCodec(b *testing.B) {

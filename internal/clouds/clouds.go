@@ -3,6 +3,7 @@ package clouds
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"pclouds/internal/gini"
 	"pclouds/internal/obs"
@@ -250,6 +251,11 @@ type builder struct {
 	schema *record.Schema
 	nRoot  int64
 	stats  BuildStats
+	// pts and sorted are the direct method's point and sort-scratch
+	// buffers, spill the right-hand records of an in-place partition; all
+	// are sized by the largest node and reused by every smaller one.
+	pts, sorted []Point
+	spill       []record.Record
 }
 
 // BuildInCore constructs a CLOUDS decision tree over an in-memory dataset.
@@ -265,7 +271,9 @@ func BuildInCore(cfg Config, data *record.Dataset, sample []record.Record) (*tre
 	}
 	b := &builder{cfg: cfg, schema: data.Schema, nRoot: int64(data.Len())}
 	span := cfg.Trace.Start("incore-build")
-	root := b.build(data.Records, sample, 0)
+	// The build partitions its records in place: work on a copy so the
+	// caller's dataset keeps its order.
+	root := b.build(slices.Clone(data.Records), sample, 0)
 	span.End()
 	t := &tree.Tree{Schema: data.Schema, Root: root}
 	st := b.stats
@@ -275,7 +283,8 @@ func BuildInCore(cfg Config, data *record.Dataset, sample []record.Record) (*tre
 // BuildSubtree builds a subtree over in-memory records starting at the
 // given depth, with nRoot the *global* root size so that interval counts
 // and small-node decisions match a full build. pCLOUDS uses it to solve
-// shipped small nodes on their assigned processor.
+// shipped small nodes on their assigned processor. recs is reordered in
+// place.
 func BuildSubtree(cfg Config, schema *record.Schema, recs, sample []record.Record, depth int, nRoot int64) (*tree.Node, *BuildStats) {
 	cfg = cfg.withDefaults()
 	b := &builder{cfg: cfg, schema: schema, nRoot: nRoot}
@@ -334,7 +343,11 @@ func (b *builder) build(recs []record.Record, sample []record.Record, depth int)
 	if b.cfg.IsSmall(n, b.nRoot) {
 		b.stats.SmallNodes++
 		b.stats.RecordReads += n
-		cand = DirectSplit(b.schema, recs)
+		if cap(b.pts) < len(recs) {
+			b.pts = make([]Point, len(recs))
+			b.sorted = make([]Point, len(recs))
+		}
+		cand = directSplit(b.schema, recs, b.pts[:len(recs)], b.sorted)
 	} else {
 		b.stats.LargeNodes++
 		cand = b.largeNodeSplit(recs, sample, n)
@@ -344,12 +357,13 @@ func (b *builder) build(recs []record.Record, sample []record.Record, depth int)
 	}
 	sp := cand.Splitter()
 
-	leftRecs, rightRecs := partitionRecords(b.schema, recs, sp)
+	nl := b.partition(recs, sp)
+	leftRecs, rightRecs := recs[:nl:nl], recs[nl:]
 	b.stats.RecordReads += n
 	if len(leftRecs) == 0 || len(rightRecs) == 0 {
 		return b.leaf(classCounts, n)
 	}
-	leftSample, rightSample := partitionRecords(b.schema, sample, sp)
+	leftSample, rightSample := PartitionRecords(b.schema, sample, sp)
 
 	nd := &tree.Node{Splitter: sp, ClassCounts: classCounts, N: n}
 	nd.Class = nd.Majority()
@@ -441,6 +455,11 @@ func collectAlivePoints(ns *NodeStats, alive *AliveSet, recs []record.Record) []
 	pts := make([][][]Point, len(ns.Numeric))
 	for j, nst := range ns.Numeric {
 		pts[j] = make([][]Point, nst.Intervals.NumIntervals())
+		for i, on := range alive.Alive[j] {
+			if on {
+				pts[j][i] = make([]Point, 0, gini.Sum(nst.Freq[i]))
+			}
+		}
 	}
 	for _, r := range recs {
 		for j, nst := range ns.Numeric {
@@ -454,15 +473,55 @@ func collectAlivePoints(ns *NodeStats, alive *AliveSet, recs []record.Record) []
 	return pts
 }
 
-// partitionRecords splits recs by the splitter; order within each side is
-// preserved.
-func partitionRecords(schema *record.Schema, recs []record.Record, sp *tree.Splitter) (left, right []record.Record) {
+// partition reorders recs in place so the records going left come first,
+// keeping the order within each side, and returns how many go left. The
+// right-hand records wait in the builder's spill buffer meanwhile, so a
+// whole build partitions without allocating past its first (largest) node.
+func (b *builder) partition(recs []record.Record, sp *tree.Splitter) int {
+	if cap(b.spill) < len(recs) {
+		b.spill = make([]record.Record, 0, len(recs))
+	}
+	spill := b.spill[:0]
+	nl := 0
+	for _, r := range recs {
+		if sp.GoesLeft(b.schema, r) {
+			recs[nl] = r
+			nl++
+		} else {
+			spill = append(spill, r)
+		}
+	}
+	copy(recs[nl:], spill)
+	return nl
+}
+
+// PartitionRecords splits a copy of recs by the splitter; order within
+// each side is preserved and an empty side is nil. Both sides share one
+// allocation sized by a counting pass. The builders use it for node
+// samples, which other nodes and ranks may still be reading.
+func PartitionRecords(schema *record.Schema, recs []record.Record, sp *tree.Splitter) (left, right []record.Record) {
+	nl := 0
 	for _, r := range recs {
 		if sp.GoesLeft(schema, r) {
-			left = append(left, r)
-		} else {
-			right = append(right, r)
+			nl++
 		}
+	}
+	out := make([]record.Record, len(recs))
+	l, r := 0, nl
+	for _, rec := range recs {
+		if sp.GoesLeft(schema, rec) {
+			out[l] = rec
+			l++
+		} else {
+			out[r] = rec
+			r++
+		}
+	}
+	if nl > 0 {
+		left = out[:nl:nl]
+	}
+	if nl < len(recs) {
+		right = out[nl:]
 	}
 	return left, right
 }

@@ -14,6 +14,13 @@ import (
 // nodes), and evaluates the best categorical subset per categorical
 // attribute. The returned candidate obeys the deterministic total order.
 func DirectSplit(schema *record.Schema, recs []record.Record) Candidate {
+	return directSplit(schema, recs, make([]Point, len(recs)), nil)
+}
+
+// directSplit is DirectSplit over caller-owned point and sort-scratch
+// buffers (pts of len(recs)), so a builder solving many small nodes sorts
+// them all in the same two.
+func directSplit(schema *record.Schema, recs []record.Record, pts, scratch []Point) Candidate {
 	best := Candidate{Valid: false, Gini: math.Inf(1)}
 	if len(recs) == 0 {
 		return best
@@ -25,19 +32,21 @@ func DirectSplit(schema *record.Schema, recs []record.Record) Candidate {
 	nTotal := int64(len(recs))
 
 	// Numeric attributes: full sort per attribute, exact scan.
-	pts := make([]Point, len(recs))
 	left := make([]int64, schema.NumClasses)
 	right := make([]int64, schema.NumClasses)
 	for j, attr := range schema.NumericIndices() {
 		for i, r := range recs {
 			pts[i] = Point{V: r.Num[j], Class: r.Class}
 		}
-		SortPoints(pts)
+		sortPoints(pts, scratch)
 		for i := range left {
 			left[i] = 0
 		}
 		var nLeft int64
 		for i := 0; i < len(pts); i++ {
+			if math.IsNaN(pts[i].V) {
+				break // NaN sorts last and is never a threshold
+			}
 			left[pts[i].Class]++
 			nLeft++
 			if i+1 < len(pts) && pts[i+1].V == pts[i].V {

@@ -146,7 +146,7 @@ func (b *oocBuilder) build(name string, sample []record.Record, depth int, class
 		b.store.Remove(name)
 		return b.leaf(classCounts, n), nil
 	}
-	leftSample, rightSample := partitionRecords(b.schema, sample, sp)
+	leftSample, rightSample := PartitionRecords(b.schema, sample, sp)
 	var leftStats, rightStats *NodeStats
 	if b.oocLargeChild(leftCounts, nl, depth+1) {
 		q := b.cfg.QForNode(nl, b.nRoot)

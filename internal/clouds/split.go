@@ -355,6 +355,9 @@ func EvaluateInterval(attr int, leftBefore, total []int64, pts []Point) Candidat
 	right := make([]int64, len(total))
 	var nLeft int64 = gini.Sum(leftBefore)
 	for i := 0; i < len(pts); i++ {
+		if math.IsNaN(pts[i].V) {
+			break // NaN sorts last and is never a threshold
+		}
 		left[pts[i].Class]++
 		nLeft++
 		// Only evaluate at the last occurrence of each distinct value.

@@ -9,8 +9,10 @@
 package clouds
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"pclouds/internal/gini"
 	"pclouds/internal/histogram"
@@ -257,13 +259,114 @@ type Point struct {
 	Class int32
 }
 
-// SortPoints orders points by value then class; a canonical order that makes
-// in-interval evaluation deterministic regardless of collection order.
-func SortPoints(pts []Point) {
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].V != pts[j].V {
-			return pts[i].V < pts[j].V
+// SortPoints orders points canonically, so in-interval evaluation is
+// deterministic regardless of collection order. The order is strict and
+// total over every point that can differ: by value, with -0 before +0
+// (equal under ==, so without the rule the threshold a tie picks would
+// depend on arrival order) and NaN after every number (NaN goes right of
+// every splitter), then by class.
+func SortPoints(pts []Point) { sortPoints(pts, nil) }
+
+// radixMin is the point count below which a comparison sort beats the
+// radix sort's fixed histogram cost.
+const radixMin = 128
+
+// sortPoints is SortPoints with a caller-owned scratch buffer for the
+// radix sort (allocated when shorter than pts). Large inputs take an LSD
+// radix sort on the key (pointKey(V), Class): one pass builds all nine
+// digit histograms, and a digit every point shares is skipped, so
+// integer-valued attributes sort in a few passes. Small inputs, and
+// classes beyond one byte, take the comparison sort; the two orders agree
+// on every point that can differ (NaN payloads aside).
+func sortPoints(pts, scratch []Point) {
+	n := len(pts)
+	if n < radixMin {
+		slices.SortFunc(pts, comparePoints)
+		return
+	}
+	// hist[0] counts classes, hist[1+d] byte d of the value key.
+	var hist [9][256]int
+	for _, p := range pts {
+		if uint32(p.Class) > 255 {
+			slices.SortFunc(pts, comparePoints)
+			return
 		}
-		return pts[i].Class < pts[j].Class
-	})
+		hist[0][p.Class]++
+		k := pointKey(p.V)
+		for d := 1; d < 9; d++ {
+			hist[d][byte(k)]++
+			k >>= 8
+		}
+	}
+	if cap(scratch) < n {
+		scratch = make([]Point, n)
+	}
+	src, dst := pts, scratch[:n]
+	for d := range hist {
+		h := &hist[d]
+		if h[pointDigit(src[0], d)] == n {
+			continue
+		}
+		sum := 0
+		for i, c := range h {
+			h[i] = sum
+			sum += c
+		}
+		for _, p := range src {
+			x := pointDigit(p, d)
+			dst[h[x]] = p
+			h[x]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &pts[0] {
+		copy(pts, src)
+	}
+}
+
+// pointKey maps a value to an unsigned key in the canonical order: the
+// IEEE-754 bits with negatives inverted and positives' sign bit set, so
+// -0 keys just below +0, and every NaN to the top key.
+func pointKey(v float64) uint64 {
+	if v != v {
+		return math.MaxUint64
+	}
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// pointDigit is radix digit d of p: the class for d == 0, else byte d-1
+// of the value key.
+func pointDigit(p Point, d int) byte {
+	if d == 0 {
+		return byte(p.Class)
+	}
+	return byte(pointKey(p.V) >> (8 * (d - 1)))
+}
+
+func comparePoints(a, b Point) int {
+	switch {
+	case a.V < b.V:
+		return -1
+	case a.V > b.V:
+		return 1
+	case a.V == b.V:
+		if sa, sb := math.Signbit(a.V), math.Signbit(b.V); sa != sb {
+			if sa {
+				return -1
+			}
+			return 1
+		}
+	default: // at least one NaN
+		if an, bn := math.IsNaN(a.V), math.IsNaN(b.V); an != bn {
+			if an {
+				return 1
+			}
+			return -1
+		}
+	}
+	return cmp.Compare(a.Class, b.Class)
 }

@@ -3,6 +3,7 @@ package tcpcomm
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"pclouds/internal/comm"
 	"pclouds/internal/costmodel"
+	"pclouds/internal/wire"
 )
 
 // dialGroupCfg brings up a full TCP group in-process with per-test config
@@ -339,6 +341,71 @@ func TestHeartbeatsExcludedFromTraffic(t *testing.T) {
 		}
 		if s.MsgsSent != 0 || s.BytesSent != 0 || s.MsgsRecv != 0 {
 			t.Fatalf("rank %d: heartbeats leaked into traffic stats: %+v", r, s)
+		}
+	}
+}
+
+// TestConcurrentPeerFailuresDoNotDeadlock: several peers declared down at
+// once must not deadlock in the failure gossip. Each fail holds its own
+// peer's mutex while the gossip runs once for the communicator; the gossip
+// therefore must not wait on any other peer's mutex. The peers sit on
+// in-memory pipes whose far ends are drained, so only lock order can
+// block.
+func TestConcurrentPeerFailuresDoNotDeadlock(t *testing.T) {
+	const p = 4
+	for iter := 0; iter < 300; iter++ {
+		c := &Comm{cfg: Config{Rank: 0, Addrs: make([]string, p)}, peers: make([]*peer, p)}
+		for r := 1; r < p; r++ {
+			near, far := net.Pipe()
+			go io.Copy(io.Discard, far)
+			c.peers[r] = c.newPeer(r, near, wire.NewConn(near))
+		}
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 1; r < p; r++ {
+			wg.Add(1)
+			go func(pe *peer) {
+				defer wg.Done()
+				pe.fail(&comm.PeerDown{Rank: pe.rank, Cause: "test"})
+			}(c.peers[r])
+		}
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("iteration %d: concurrent peer failures deadlocked", iter)
+		}
+	}
+}
+
+// TestOrderlyCloseKeepsLastFrames: a rank that sends its last frame and
+// closes loses none of it to gossip. Rank 0 sends a large frame to rank 2
+// and closes at once; rank 1 observes the close and reports it while rank
+// 2 is still reading the frame. Rank 2 must receive it intact rather than
+// drop the connection on rank 1's report.
+func TestOrderlyCloseKeepsLastFrames(t *testing.T) {
+	for iter := 0; iter < 5; iter++ {
+		comms := dialGroup(t, 3)
+		payload := make([]byte, 32<<20)
+		payload[len(payload)-1] = 7
+		if err := comms[0].Send(2, comm.TagUser, payload); err != nil {
+			t.Fatal(err)
+		}
+		comms[0].Close()
+		if _, err := comms[1].Recv(0, comm.TagUser); err == nil {
+			t.Fatal("Recv from a closed rank succeeded")
+		}
+		got, err := comms[2].Recv(0, comm.TagUser)
+		if err != nil {
+			t.Fatalf("iteration %d: rank 2 lost rank 0's last frame: %v", iter, err)
+		}
+		if len(got) != len(payload) || got[len(got)-1] != 7 {
+			t.Fatalf("iteration %d: frame mangled (%d bytes)", iter, len(got))
+		}
+		// Past the last frame, rank 2 sees rank 0's close itself.
+		_, err = comms[2].Recv(0, comm.TagUser)
+		if pd, ok := comm.AsPeerDown(err); !ok || pd.Rank != 0 {
+			t.Fatalf("iteration %d: Recv past rank 0's close: %v, want PeerDown naming rank 0", iter, err)
 		}
 	}
 }

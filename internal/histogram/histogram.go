@@ -23,8 +23,13 @@ import (
 // A record with value v falls into the split's left partition for boundary i
 // iff v <= Cuts[i]; this makes boundary i the candidate splitter "attr <=
 // Cuts[i]".
+//
+// The constructors (FromSample, Merge) also build the guide table that
+// makes Locate constant-time. A structure assembled by hand from a Cuts
+// literal has no guide; Locate is still exact on it, but scans every cut.
 type Intervals struct {
 	Cuts []float64
+	g    guide
 }
 
 // NumIntervals returns the number of intervals (len(Cuts)+1); an empty
@@ -34,18 +39,33 @@ func (iv *Intervals) NumIntervals() int { return len(iv.Cuts) + 1 }
 // NumBounds returns the number of candidate boundary split points.
 func (iv *Intervals) NumBounds() int { return len(iv.Cuts) }
 
-// Locate returns the interval index that value v falls into. NaN is mapped
-// to the last interval explicitly: every comparison against a cut is false
-// for NaN, so a NaN record never satisfies "v <= Cuts[i]" and always falls
-// on the right of every candidate splitter — the same unseen-value policy
-// as tree.Splitter.GoesLeft (NaN goes right). ±Inf need no special case:
+// Locate returns the interval index that value v falls into: the index of
+// the first cut >= v (records at a cut belong to the interval left of it),
+// exactly what sort.SearchFloat64s(Cuts, v) returns. NaN is mapped to the
+// last interval explicitly: every comparison against a cut is false for
+// NaN, so a NaN record never satisfies "v <= Cuts[i]" and always falls on
+// the right of every candidate splitter — the same unseen-value policy as
+// tree.Splitter.GoesLeft (NaN goes right). ±Inf need no special case:
 // -Inf lands in the first interval, +Inf in the last.
+//
+// Values at or below the first cut and above the last one (NaN included)
+// are answered by two comparisons. Every other value picks its guide
+// bucket and scans forward from the first cut of that bucket; the scan
+// stops at the latest at the last cut, which is >= v.
 func (iv *Intervals) Locate(v float64) int {
-	if math.IsNaN(v) {
-		return len(iv.Cuts)
+	c := iv.Cuts
+	n := len(c)
+	if n == 0 || v <= c[0] {
+		return 0
 	}
-	// First cut >= v; records at a cut belong to the interval left of it.
-	return sort.SearchFloat64s(iv.Cuts, v)
+	if !(v <= c[n-1]) {
+		return n
+	}
+	i := iv.g.start(v)
+	for c[i] < v {
+		i++
+	}
+	return i
 }
 
 // Validate checks that cuts are strictly increasing and finite-comparable:
@@ -106,7 +126,7 @@ func FromSample(sample []float64, q int) *Intervals {
 	if len(cuts) > 0 && cuts[len(cuts)-1] >= s[len(s)-1] {
 		cuts = cuts[:len(cuts)-1]
 	}
-	return &Intervals{Cuts: cuts}
+	return newIntervals(cuts)
 }
 
 // Sub builds a refined interval structure covering only interval idx of iv,

@@ -37,7 +37,7 @@ func Merge(a, b *Intervals) *Intervals {
 	if len(cuts) == 0 {
 		return &Intervals{}
 	}
-	return &Intervals{Cuts: cuts}
+	return newIntervals(cuts)
 }
 
 // MergeCounts sums two per-interval count vectors of identical shape — the

@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
+	"pclouds/internal/gini"
 	"pclouds/internal/record"
 )
 
@@ -63,27 +65,34 @@ func (b *pbuilder) evaluateAlive(t *nodeTask, local *clouds.NodeStats, boundaryB
 	p := b.c.Size()
 	rank := b.c.Rank()
 	owner := assignIntervals(alive, p)
-	aliveIdx := make(map[[2]int]int, len(alive))
+	// The dense alive index: aliveIdx[j][i] is the position in alive of
+	// interval i of numeric attribute j, or -1 when it is not alive.
+	aliveIdx := make([][]int32, len(local.Numeric))
+	for j, nst := range local.Numeric {
+		idx := make([]int32, nst.Intervals.NumIntervals())
+		for i := range idx {
+			idx[i] = -1
+		}
+		aliveIdx[j] = idx
+	}
 	for i, ai := range alive {
-		aliveIdx[[2]int{ai.attrJ, ai.interval}] = i
+		aliveIdx[ai.attrJ][ai.interval] = int32(i)
 	}
 
-	// Local collection pass: bucket points by (destination, alive index).
-	perDest := make([][][]clouds.Point, p)
-	for d := range perDest {
-		perDest[d] = make([][]clouds.Point, len(alive))
-	}
+	// Local collection pass: bucket points by alive index. This rank's own
+	// statistics count exactly the points its scan meets in each interval,
+	// so every bucket is a capacity-capped window of one slab.
+	buckets := pointBuckets(len(alive), func(i int) int64 {
+		return gini.Sum(local.Numeric[alive[i].attrJ].Freq[alive[i].interval])
+	})
 	var localN int64
 	if err := b.scanFrontier(t.file, func(r *record.Record) error {
 		localN++
 		for j, nst := range local.Numeric {
 			v := r.Num[j]
-			i, ok := aliveIdx[[2]int{j, nst.Intervals.Locate(v)}]
-			if !ok {
-				continue
+			if i := aliveIdx[j][nst.Intervals.Locate(v)]; i >= 0 {
+				buckets[i] = append(buckets[i], clouds.Point{V: v, Class: r.Class})
 			}
-			d := owner[i]
-			perDest[d][i] = append(perDest[d][i], clouds.Point{V: v, Class: r.Class})
 		}
 		return nil
 	}); err != nil {
@@ -93,22 +102,33 @@ func (b *pbuilder) evaluateAlive(t *nodeTask, local *clouds.NodeStats, boundaryB
 	b.chargeCPU(localN)
 
 	// One all-to-all ships every point to its interval's assignee.
+	perDest := make([][][]clouds.Point, p)
+	for d := range perDest {
+		perDest[d] = make([][]clouds.Point, len(alive))
+	}
+	for i, pts := range buckets {
+		perDest[owner[i]][i] = pts
+		if owner[i] != rank {
+			b.stats.RecordsShipped += int64(len(pts))
+		}
+	}
 	parts := make([][]byte, p)
 	for d := 0; d < p; d++ {
 		parts[d] = encodePointBuckets(perDest[d])
-		if d != rank {
-			for _, pts := range perDest[d] {
-				b.stats.RecordsShipped += int64(len(pts))
-			}
-		}
 	}
 	recv, err := comm.AllToAll(b.c, parts)
 	if err != nil {
 		return clouds.Candidate{}, err
 	}
 
-	// Assemble the points of the intervals this rank owns.
-	mine := make([][]clouds.Point, len(alive))
+	// Assemble the points of the intervals this rank owns; the global
+	// counts size them exactly.
+	mine := pointBuckets(len(alive), func(i int) int64 {
+		if owner[i] != rank {
+			return 0
+		}
+		return alive[i].count
+	})
 	for _, raw := range recv {
 		if err := decodePointBuckets(raw, mine); err != nil {
 			return clouds.Candidate{}, err
@@ -140,29 +160,56 @@ func (b *pbuilder) evaluateAlive(t *nodeTask, local *clouds.NodeStats, boundaryB
 	return best, nil
 }
 
+// pointBuckets returns n empty buckets whose capacities, size(i), are
+// consecutive windows of one slab: appends up to the planned size never
+// reallocate, and one past it cannot spill into the next bucket.
+func pointBuckets(n int, size func(i int) int64) [][]clouds.Point {
+	caps := make([]int, n)
+	total := 0
+	for i := range caps {
+		caps[i] = int(size(i))
+		total += caps[i]
+	}
+	slab := make([]clouds.Point, total)
+	out := make([][]clouds.Point, n)
+	off := 0
+	for i, c := range caps {
+		out[i] = slab[off : off : off+c]
+		off += c
+	}
+	return out
+}
+
 // encodePointBuckets frames non-empty buckets as
-// [u32 aliveIdx][u32 n][n × (f64 value, u32 class)].
+// [u32 aliveIdx][u32 n][n × (f64 value, u32 class)], into a buffer sized
+// up front.
 func encodePointBuckets(buckets [][]clouds.Point) []byte {
-	var out []byte
-	var b8 [8]byte
+	size := 0
+	for _, pts := range buckets {
+		if len(pts) > 0 {
+			size += 8 + 12*len(pts)
+		}
+	}
+	out := make([]byte, size)
+	off := 0
 	for i, pts := range buckets {
 		if len(pts) == 0 {
 			continue
 		}
-		binary.LittleEndian.PutUint32(b8[:4], uint32(i))
-		out = append(out, b8[:4]...)
-		binary.LittleEndian.PutUint32(b8[:4], uint32(len(pts)))
-		out = append(out, b8[:4]...)
+		binary.LittleEndian.PutUint32(out[off:], uint32(i))
+		binary.LittleEndian.PutUint32(out[off+4:], uint32(len(pts)))
+		off += 8
 		for _, pt := range pts {
-			binary.LittleEndian.PutUint64(b8[:], math.Float64bits(pt.V))
-			out = append(out, b8[:]...)
-			binary.LittleEndian.PutUint32(b8[:4], uint32(pt.Class))
-			out = append(out, b8[:4]...)
+			binary.LittleEndian.PutUint64(out[off:], math.Float64bits(pt.V))
+			binary.LittleEndian.PutUint32(out[off+8:], uint32(pt.Class))
+			off += 12
 		}
 	}
 	return out
 }
 
+// decodePointBuckets appends the points of every frame in src to their
+// buckets, growing each bucket once per frame.
 func decodePointBuckets(src []byte, into [][]clouds.Point) error {
 	for len(src) > 0 {
 		if len(src) < 8 {
@@ -174,15 +221,17 @@ func decodePointBuckets(src []byte, into [][]clouds.Point) error {
 		if idx < 0 || idx >= len(into) {
 			return fmt.Errorf("pclouds: point bucket index %d out of range", idx)
 		}
-		if len(src) < n*12 {
+		if n < 0 || len(src)/12 < n {
 			return fmt.Errorf("pclouds: truncated point bucket body")
 		}
+		pts := slices.Grow(into[idx], n)
 		for k := 0; k < n; k++ {
 			v := math.Float64frombits(binary.LittleEndian.Uint64(src))
 			cls := int32(binary.LittleEndian.Uint32(src[8:]))
-			into[idx] = append(into[idx], clouds.Point{V: v, Class: cls})
+			pts = append(pts, clouds.Point{V: v, Class: cls})
 			src = src[12:]
 		}
+		into[idx] = pts
 	}
 	return nil
 }

@@ -647,7 +647,7 @@ func restoreTask(b *pbuilder, root *tree.Node, rootSample []record.Record, ct ck
 		if cur == nil || cur.Splitter == nil {
 			return nil, fmt.Errorf("pclouds: resume: task %s: tree path broken at step %d", ct.ID, i)
 		}
-		l, r := partitionSample(b.schema, sample, cur.Splitter)
+		l, r := clouds.PartitionRecords(b.schema, sample, cur.Splitter)
 		if path[i] == 'L' {
 			sample, cur = l, cur.Left
 		} else {
@@ -658,7 +658,7 @@ func restoreTask(b *pbuilder, root *tree.Node, rootSample []record.Record, ct ck
 	if parent == nil || parent.Splitter == nil {
 		return nil, fmt.Errorf("pclouds: resume: task %s: parent node missing from partial tree", ct.ID)
 	}
-	l, r := partitionSample(b.schema, sample, parent.Splitter)
+	l, r := clouds.PartitionRecords(b.schema, sample, parent.Splitter)
 	last := path[len(path)-1]
 	var attach func(*tree.Node)
 	if last == 'L' {

@@ -231,6 +231,7 @@ type nodeTask struct {
 	sample      []record.Record
 	depth       int
 	n           int64   // global record count
+	localN      int64   // records in this rank's file; 0 when unknown (a presizing hint)
 	classCounts []int64 // global class counts
 	attach      func(*tree.Node)
 	// localStats, when non-nil, holds this rank's statistics for the node,
@@ -589,7 +590,7 @@ func (b *pbuilder) processLargeNode(t *nodeTask) ([]*nodeTask, error) {
 		b.leafNode(t)
 		return nil, nil
 	}
-	leftSample, rightSample := partitionSample(b.schema, t.sample, sp)
+	leftSample, rightSample := clouds.PartitionRecords(b.schema, t.sample, sp)
 
 	// Fused partitioning (Sections 4.2 and 5.2): while streaming the node
 	// into its two child files, accumulate each large child's local
@@ -641,6 +642,7 @@ func (b *pbuilder) processLargeNode(t *nodeTask) ([]*nodeTask, error) {
 		// pass is shared.
 		b.chargeCPU(localN)
 	}
+	nlLocal, nrLocal := lw.Count(), rw.Count()
 	if err2 := lw.Close(); err == nil {
 		err = err2
 	}
@@ -658,24 +660,13 @@ func (b *pbuilder) processLargeNode(t *nodeTask) ([]*nodeTask, error) {
 
 	left := &nodeTask{
 		id: t.id + "L", file: leftFile, sample: leftSample, depth: t.depth + 1,
-		n: nl, classCounts: leftCounts, localStats: leftStats,
+		n: nl, localN: nlLocal, classCounts: leftCounts, localStats: leftStats,
 		attach: func(x *tree.Node) { nd.Left = x },
 	}
 	right := &nodeTask{
 		id: t.id + "R", file: rightFile, sample: rightSample, depth: t.depth + 1,
-		n: nr, classCounts: rightCounts, localStats: rightStats,
+		n: nr, localN: nrLocal, classCounts: rightCounts, localStats: rightStats,
 		attach: func(x *tree.Node) { nd.Right = x },
 	}
 	return []*nodeTask{left, right}, nil
-}
-
-func partitionSample(schema *record.Schema, recs []record.Record, sp *tree.Splitter) (left, right []record.Record) {
-	for _, r := range recs {
-		if sp.GoesLeft(schema, r) {
-			left = append(left, r)
-		} else {
-			right = append(right, r)
-		}
-	}
-	return left, right
 }

@@ -31,32 +31,44 @@ func (b *pbuilder) smallNodePhase(small []*nodeTask) error {
 	owner := assignTasks(small, p)
 
 	// Ship every record of every small node to its owner, batched into one
-	// exchange. Frame per task: [u32 taskIdx][u32 n][n records].
+	// exchange. Frame per task: [u32 taskIdx][u32 n][n records]. Records
+	// are encoded straight from the scan into their owner's part, which is
+	// presized from the record counts the parent's partition pass wrote.
 	rspan := b.rec.Start("small-redistribute")
-	perDest := make([][][]record.Record, p)
-	for d := range perDest {
-		perDest[d] = make([][]record.Record, len(small))
+	rb := b.schema.RecordBytes()
+	sizes := make([]int, p)
+	for i, t := range small {
+		sizes[owner[i]] += 8 + int(t.localN)*rb
+	}
+	parts := make([][]byte, p)
+	for d := range parts {
+		parts[d] = make([]byte, 0, sizes[d])
 	}
 	for i, t := range small {
 		d := owner[i]
+		head := len(parts[d])
+		buf := append(parts[d], make([]byte, 8)...)
 		var localN int64
 		if err := b.scanFrontier(t.file, func(r *record.Record) error {
 			localN++
-			perDest[d][i] = append(perDest[d][i], r.Clone())
+			buf = r.Encode(buf)
 			return nil
 		}); err != nil {
 			return err
 		}
+		if localN == 0 {
+			buf = buf[:head]
+		} else {
+			binary.LittleEndian.PutUint32(buf[head:], uint32(i))
+			binary.LittleEndian.PutUint32(buf[head+4:], uint32(localN))
+		}
+		parts[d] = buf
 		b.stats.Build.RecordReads += localN
 		b.chargeCPU(localN)
 		if d != rank {
 			b.stats.RecordsShipped += localN
 		}
 		b.removeFile(t.file)
-	}
-	parts := make([][]byte, p)
-	for d := 0; d < p; d++ {
-		parts[d] = encodeTaskRecords(perDest[d])
 	}
 	recv, err := comm.AllToAll(b.c, parts)
 	if err != nil {
@@ -151,8 +163,19 @@ func assignTasks(tasks []*nodeTask, p int) []int {
 	return owner
 }
 
+// encodeTaskRecords frames non-empty buckets as [u32 taskIdx][u32 n][n
+// records], into a buffer sized up front.
 func encodeTaskRecords(buckets [][]record.Record) []byte {
-	var out []byte
+	size := 0
+	for _, recs := range buckets {
+		if len(recs) > 0 {
+			size += 8
+		}
+		for _, r := range recs {
+			size += 8*len(r.Num) + 4*len(r.Cat) + 4
+		}
+	}
+	out := make([]byte, 0, size)
 	var b4 [4]byte
 	for i, recs := range buckets {
 		if len(recs) == 0 {
@@ -181,17 +204,15 @@ func decodeTaskRecords(schema *record.Schema, src []byte, into [][]record.Record
 		if idx < 0 || idx >= len(into) {
 			return fmt.Errorf("pclouds: task record index %d out of range", idx)
 		}
-		if len(src) < n*rb {
+		if n < 0 || len(src)/rb < n {
 			return fmt.Errorf("pclouds: truncated task record body")
 		}
-		for k := 0; k < n; k++ {
-			var rec record.Record
-			if _, err := rec.Decode(schema, src[:rb]); err != nil {
-				return err
-			}
-			into[idx] = append(into[idx], rec)
-			src = src[rb:]
+		recs, err := record.AppendDecoded(schema, into[idx], src[:n*rb])
+		if err != nil {
+			return err
 		}
+		into[idx] = recs
+		src = src[n*rb:]
 	}
 	return nil
 }

@@ -185,7 +185,9 @@ func (d *Dataset) WriteBinaryV2(w io.Writer, fileID uint64) error {
 }
 
 // readBinaryV2 consumes a v2 stream after the magic has been sniffed.
-func readBinaryV2(s *Schema, br *bufio.Reader) (*Dataset, error) {
+// sizeHint, when positive, is the stream's byte length; Records is
+// presized from it so loading never regrows the record slice.
+func readBinaryV2(s *Schema, br *bufio.Reader, sizeHint int64) (*Dataset, error) {
 	hb := make([]byte, V2HeaderSize)
 	if _, err := io.ReadFull(br, hb); err != nil {
 		return nil, fmt.Errorf("record: reading v2 header: %w", err)
@@ -199,6 +201,9 @@ func readBinaryV2(s *Schema, br *bufio.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("record: v2 file record width %d does not match schema width %d", hdr.RecordBytes, rb)
 	}
 	d := NewDataset(s)
+	if sizeHint > V2HeaderSize {
+		d.Records = make([]Record, 0, (sizeHint-V2HeaderSize)/int64(rb))
+	}
 	var bh [V2BlockHeaderSize]byte
 	var payload []byte
 	for block := 0; ; block++ {
@@ -222,12 +227,8 @@ func readBinaryV2(s *Schema, br *bufio.Reader) (*Dataset, error) {
 		if err := VerifyV2Block(bh[:], payload); err != nil {
 			return nil, fmt.Errorf("record: v2 block %d: %w", block, err)
 		}
-		for off := 0; off < len(payload); off += rb {
-			var rec Record
-			if _, err := rec.Decode(s, payload[off:]); err != nil {
-				return nil, fmt.Errorf("record: v2 block %d: %w", block, err)
-			}
-			d.Records = append(d.Records, rec)
+		if d.Records, err = AppendDecoded(s, d.Records, payload); err != nil {
+			return nil, fmt.Errorf("record: v2 block %d: %w", block, err)
 		}
 	}
 }

@@ -109,9 +109,15 @@ func (d *Dataset) WriteBinary(w io.Writer) error {
 // are accepted: the v2 checksummed block layout (sniffed by magic, every
 // block verified) and the legacy raw fixed-width stream.
 func ReadBinary(s *Schema, r io.Reader) (*Dataset, error) {
+	return readBinary(s, r, 0)
+}
+
+// readBinary is ReadBinary with the stream's byte length as a presizing
+// hint (0 when unknown).
+func readBinary(s *Schema, r io.Reader, sizeHint int64) (*Dataset, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	if head, err := br.Peek(len(V2Magic)); err == nil && string(head) == V2Magic {
-		return readBinaryV2(s, br)
+		return readBinaryV2(s, br, sizeHint)
 	}
 	rb := s.RecordBytes()
 	buf := make([]byte, rb)
@@ -152,7 +158,11 @@ func LoadFile(s *Schema, path string) (*Dataset, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadBinary(s, f)
+	var size int64
+	if fi, err := f.Stat(); err == nil {
+		size = fi.Size()
+	}
+	return readBinary(s, f, size)
 }
 
 // WriteCSV writes the dataset as comma-separated text with a header row.

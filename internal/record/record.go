@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -254,19 +255,36 @@ func EncodeAll(recs []Record) []byte {
 
 // DecodeAll decodes all records of schema s contained in src.
 func DecodeAll(s *Schema, src []byte) ([]Record, error) {
+	return AppendDecoded(s, nil, src)
+}
+
+// AppendDecoded decodes every record of schema s in src, whose length must
+// be a multiple of the record width, and appends them to dst. The decoded
+// records' values live in one float64 slab and one int32 slab, each record
+// holding a capacity-capped window of them, so a batch costs three
+// allocations at most rather than two per record.
+func AppendDecoded(s *Schema, dst []Record, src []byte) ([]Record, error) {
 	rb := s.RecordBytes()
 	if len(src)%rb != 0 {
 		return nil, fmt.Errorf("record: buffer length %d not a multiple of record size %d", len(src), rb)
 	}
 	n := len(src) / rb
-	recs := make([]Record, n)
-	off := 0
-	for i := range recs {
-		m, err := recs[i].Decode(s, src[off:])
-		if err != nil {
+	nn, nc := s.NumNumeric(), s.NumCategorical()
+	nums := make([]float64, n*nn)
+	cats := make([]int32, n*nc)
+	dst = slices.Grow(dst, n)
+	for k := 0; k < n; k++ {
+		var rec Record
+		if nn > 0 {
+			rec.Num = nums[k*nn : (k+1)*nn : (k+1)*nn]
+		}
+		if nc > 0 {
+			rec.Cat = cats[k*nc : (k+1)*nc : (k+1)*nc]
+		}
+		if _, err := rec.Decode(s, src[k*rb:]); err != nil {
 			return nil, err
 		}
-		off += m
+		dst = append(dst, rec)
 	}
-	return recs, nil
+	return dst, nil
 }

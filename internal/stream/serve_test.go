@@ -194,13 +194,20 @@ func TestCorruptPublishQuarantinedNeverServed(t *testing.T) {
 
 	// Drop the corrupt file while the stream publishes the remaining
 	// windows underneath the poller. A far-future name and mtime make it
-	// the scan winner on every tick until it is quarantined.
+	// the scan winner on every tick until it is quarantined. It is staged
+	// under a name the registry skips and renamed into place with its
+	// mtime already set: the 2 ms poller may quarantine it the moment it
+	// appears.
 	corrupt := filepath.Join(dir, "model-w999999.tree")
-	if err := os.WriteFile(corrupt, []byte("definitely not a model"), 0o644); err != nil {
+	staged := filepath.Join(dir, ".staged-corrupt")
+	if err := os.WriteFile(staged, []byte("definitely not a model"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	future := time.Now().Add(time.Hour)
-	if err := os.Chtimes(corrupt, future, future); err != nil {
+	if err := os.Chtimes(staged, future, future); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(staged, corrupt); err != nil {
 		t.Fatal(err)
 	}
 
