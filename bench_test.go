@@ -407,7 +407,8 @@ var sinkInt int
 
 // BenchmarkSortPoints times the canonical point sort on one attribute's
 // points of a direct-method-sized node, restored to arrival order before
-// every sort.
+// every sort. BenchmarkSortPointsPaths in internal/clouds times its radix
+// and comparison paths apart.
 func BenchmarkSortPoints(b *testing.B) {
 	data, _ := rootKernelInput(b, 4096)
 	src := make([]clouds.Point, data.Len())

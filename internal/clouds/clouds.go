@@ -251,11 +251,11 @@ type builder struct {
 	schema *record.Schema
 	nRoot  int64
 	stats  BuildStats
-	// pts and sorted are the direct method's point and sort-scratch
-	// buffers, spill the right-hand records of an in-place partition; all
-	// are sized by the largest node and reused by every smaller one.
-	pts, sorted []Point
-	spill       []record.Record
+	// pts is the direct method's point buffer, spill the right-hand
+	// records of an in-place partition; both are sized by the largest node
+	// and reused by every smaller one.
+	pts   []Point
+	spill []record.Record
 }
 
 // BuildInCore constructs a CLOUDS decision tree over an in-memory dataset.
@@ -345,9 +345,8 @@ func (b *builder) build(recs []record.Record, sample []record.Record, depth int)
 		b.stats.RecordReads += n
 		if cap(b.pts) < len(recs) {
 			b.pts = make([]Point, len(recs))
-			b.sorted = make([]Point, len(recs))
 		}
-		cand = directSplit(b.schema, recs, b.pts[:len(recs)], b.sorted)
+		cand = directSplit(b.schema, recs, b.pts[:len(recs)])
 	} else {
 		b.stats.LargeNodes++
 		cand = b.largeNodeSplit(recs, sample, n)

@@ -14,13 +14,12 @@ import (
 // nodes), and evaluates the best categorical subset per categorical
 // attribute. The returned candidate obeys the deterministic total order.
 func DirectSplit(schema *record.Schema, recs []record.Record) Candidate {
-	return directSplit(schema, recs, make([]Point, len(recs)), nil)
+	return directSplit(schema, recs, make([]Point, len(recs)))
 }
 
-// directSplit is DirectSplit over caller-owned point and sort-scratch
-// buffers (pts of len(recs)), so a builder solving many small nodes sorts
-// them all in the same two.
-func directSplit(schema *record.Schema, recs []record.Record, pts, scratch []Point) Candidate {
+// directSplit is DirectSplit over a caller-owned point buffer (len(recs)),
+// so a builder solving many small nodes collects them all in the same one.
+func directSplit(schema *record.Schema, recs []record.Record, pts []Point) Candidate {
 	best := Candidate{Valid: false, Gini: math.Inf(1)}
 	if len(recs) == 0 {
 		return best
@@ -38,7 +37,7 @@ func directSplit(schema *record.Schema, recs []record.Record, pts, scratch []Poi
 		for i, r := range recs {
 			pts[i] = Point{V: r.Num[j], Class: r.Class}
 		}
-		sortPoints(pts, scratch)
+		SortPoints(pts)
 		for i := range left {
 			left[i] = 0
 		}

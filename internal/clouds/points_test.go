@@ -1,12 +1,15 @@
 package clouds
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"pclouds/internal/datagen"
 	"pclouds/internal/record"
+	"pclouds/internal/tree"
 )
 
 var negZero = math.Copysign(0, -1)
@@ -110,6 +113,97 @@ func TestSortPointsRadixMatchesComparison(t *testing.T) {
 					t.Fatalf("n=%d classes=%d: position %d is %+v, comparison order has %+v", n, maxClass, i, got[i], want[i])
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkSortPointsPaths times the two paths of SortPoints, the radix
+// sort and the comparison sort, on sizes either side of radixMin. The
+// points are those of real tree nodes, as the direct method sorts them:
+// for each target size, the node of an in-core tree over noisy Agrawal f2
+// records whose size is nearest, sorted along every numeric attribute.
+func BenchmarkSortPointsPaths(b *testing.B) {
+	g, err := datagen.New(datagen.Config{Function: 2, Seed: 7, Noise: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := g.Generate(40000)
+	cfg := Defaults()
+	tr, _, err := BuildInCore(cfg, data, cfg.SampleFor(data))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, target := range []int{32, 64, 128, 256, 1024, 4096} {
+		nd := nearestNode(tr.Root, int64(target))
+		var recs []record.Record
+		for _, r := range data.Records {
+			if reaches(data.Schema, tr.Root, nd, r) {
+				recs = append(recs, r)
+			}
+		}
+		srcs := make([][]Point, len(data.Schema.NumericIndices()))
+		for j := range srcs {
+			for _, r := range recs {
+				srcs[j] = append(srcs[j], Point{V: r.Num[j], Class: r.Class})
+			}
+		}
+		pts := make([]Point, len(recs))
+		scratch := make([]Point, len(recs))
+		for _, path := range []struct {
+			name string
+			sort func([]Point)
+		}{
+			{"radix", func(p []Point) { radixSortPoints(p, scratch) }},
+			{"sortfunc", func(p []Point) { slices.SortFunc(p, comparePoints) }},
+		} {
+			b.Run(fmt.Sprintf("n=%d/%s", len(recs), path.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, src := range srcs {
+						copy(pts, src)
+						path.sort(pts)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(srcs)*len(recs)), "ns/point")
+			})
+		}
+	}
+}
+
+// nearestNode returns the node of the subtree at n whose size is nearest
+// to size.
+func nearestNode(n *tree.Node, size int64) *tree.Node {
+	best := n
+	if !n.IsLeaf() {
+		for _, c := range []*tree.Node{n.Left, n.Right} {
+			if m := nearestNode(c, size); abs64(m.N-size) < abs64(best.N-size) {
+				best = m
+			}
+		}
+	}
+	return best
+}
+
+func abs64(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// reaches reports whether r's path from root passes through nd.
+func reaches(schema *record.Schema, root, nd *tree.Node, r record.Record) bool {
+	for n := root; ; {
+		if n == nd {
+			return true
+		}
+		if n.IsLeaf() {
+			return false
+		}
+		if n.Splitter.GoesLeft(schema, r) {
+			n = n.Left
+		} else {
+			n = n.Right
 		}
 	}
 }

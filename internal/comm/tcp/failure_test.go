@@ -409,3 +409,31 @@ func TestOrderlyCloseKeepsLastFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseUnblocksStalledSend: Close returns promptly while a Send is
+// blocked toward a peer that never reads, and that Send fails. Close cuts
+// the connections without first waiting for any send to finish.
+func TestCloseUnblocksStalledSend(t *testing.T) {
+	near, far := net.Pipe() // synchronous: a write blocks until read
+	defer far.Close()
+	c := &Comm{cfg: Config{Rank: 0, Addrs: make([]string, 2)}, peers: make([]*peer, 2), quit: make(chan struct{})}
+	c.peers[1] = c.newPeer(1, near, wire.NewConn(near))
+	sent := make(chan error, 1)
+	go func() { sent <- c.Send(1, comm.TagUser, make([]byte, 1<<20)) }()
+	time.Sleep(50 * time.Millisecond) // let the Send block in its write
+	closed := make(chan struct{})
+	go func() { c.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung behind a stalled Send")
+	}
+	select {
+	case err := <-sent:
+		if err == nil {
+			t.Fatal("stalled Send succeeded after Close")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("stalled Send still blocked after Close")
+	}
+}

@@ -80,33 +80,16 @@ const helloTag = -1
 // reader loop and never enter the per-tag receive queues.
 const heartbeatTag = -2
 
-// downTag marks out-of-band failure gossip: the 5-byte payload names a
-// rank the sender has declared down (u32 LE), then 1 if that rank closed
-// in order (said bye) or 0 if it failed. Gossip makes root-cause
-// attribution deterministic during a cascade — a peer learns "rank 3
-// died" from the rank that saw it, before that rank's own teardown breaks
-// the connection.
+// downTag marks out-of-band failure gossip: the 4-byte payload names a rank
+// the sender has declared down. Gossip makes root-cause attribution
+// deterministic during a cascade — a peer learns "rank 3 died" from the
+// rank that saw it, before that rank's own teardown breaks the connection.
 const downTag = -3
 
 // helloAckTag answers a hello frame; the 8-byte payload is
 // status u32 LE | acceptor-generation u32 LE. Generation fencing lives in
 // this exchange — see the package doc.
 const helloAckTag = -4
-
-// byeTag marks the last frame of an orderly Close. The peer's end of the
-// connection still fails (blocked receivers get a comm.PeerDown naming the
-// closed rank, as before), but the gossip about it says "closed", and a
-// rank told that a peer closed keeps reading that peer's connection to
-// its end instead of tearing it down: the peer's last frames are on it.
-// A close ranks below a failure as a root cause (see Comm.firstDown).
-// Without this, a rank that had read everything from a finished rank 0
-// reported 0 down to a slower rank 2, which then dropped its connection
-// to 0 with 0's final broadcast still unread in the socket.
-const byeTag = -5
-
-// byeTimeout bounds the best-effort bye write of a Close, so a wedged
-// peer cannot stall the teardown.
-const byeTimeout = 200 * time.Millisecond
 
 // Hello ack statuses.
 const (
@@ -242,8 +225,6 @@ type peer struct {
 	// surfaced to Recv.
 	failErr error
 	closed  bool
-	// bye records that the peer announced an orderly Close (byeTag).
-	bye bool
 	// down mirrors failErr != nil without the mutex, so dead() can be
 	// asked while another peer's mutex is held (see gossipDown).
 	down atomic.Bool
@@ -259,13 +240,11 @@ type Comm struct {
 	statsMu  sync.Mutex
 	quit     chan struct{}
 	closed   sync.Once
-	// firstDown is the first comm.PeerDown observed (any connection) of a
-	// peer that failed; firstClosed the first of a peer that closed in
-	// order (said bye), observed or reported. They attribute the cascade:
-	// secondary connection failures caused by other ranks aborting are
-	// reported as wrapping the root cause, a failure if any is known,
-	// since a close is usually a consequence of one. Guarded by statsMu.
-	firstDown, firstClosed *comm.PeerDown
+	// firstDown is the first comm.PeerDown observed (any connection) or
+	// reported by gossip. It attributes the cascade: secondary connection
+	// failures caused by other ranks aborting are reported as wrapping this
+	// root cause. Guarded by statsMu.
+	firstDown *comm.PeerDown
 	// gossipOnce bounds failure gossip to the first detection: the root
 	// cause is broadcast once; re-gossiping gossip-derived downs would only
 	// echo the same rank.
@@ -585,47 +564,27 @@ func (c *Comm) newPeer(rank int, conn net.Conn, fr *wire.Conn) *peer {
 	pe.onDown = func(pd *comm.PeerDown) {
 		c.statsMu.Lock()
 		c.stats.PeerDowns++
-		c.noteDownLocked(pd, pe.bye) // onDown runs under pe.mu
-		root, closed := c.rootCauseLocked()
+		if c.firstDown == nil {
+			c.firstDown = pd
+		}
+		root := c.firstDown.Rank
 		c.statsMu.Unlock()
-		c.gossipDown(root.Rank, closed)
+		c.gossipDown(root)
 	}
 	pe.cond = sync.NewCond(&pe.mu)
 	return pe
 }
 
-// noteDownLocked records pd as the first failure or the first close seen.
-// Callers hold statsMu.
-func (c *Comm) noteDownLocked(pd *comm.PeerDown, closed bool) {
-	if closed && c.firstClosed == nil {
-		c.firstClosed = pd
-	}
-	if !closed && c.firstDown == nil {
-		c.firstDown = pd
-	}
-}
-
-// rootCauseLocked returns the cascade's root cause: the first failure if
-// any is known, else the first close. Callers hold statsMu.
-func (c *Comm) rootCauseLocked() (pd *comm.PeerDown, closed bool) {
-	if c.firstDown != nil {
-		return c.firstDown, false
-	}
-	return c.firstClosed, c.firstClosed != nil
-}
-
 // gossipDown broadcasts the root cause of the first locally observed peer
 // failure to every other live peer on the control tag: the failed peer
-// itself, or what this rank had already learned caused it. Without it, attribution during a
-// cascade is a scheduling race: a rank whose own view of the dead peer is
-// delayed may first observe a *detector's* teardown and blame the wrong
-// rank. With it, the detector's last frame on each connection names the
-// root cause, and TCP ordering guarantees it is read before that
-// connection's EOF. The sends are synchronous, so by the time the failure
-// surfaces to the caller (and the caller tears the communicator down) the
-// gossip frames are already on the wire. closed marks a peer that said
-// bye: the payload's fifth byte tells receivers to record the cause
-// without cutting the peer's connection (see byeTag).
+// itself, or what this rank had already learned caused it. Without it,
+// attribution during a cascade is a scheduling race: a rank whose own view
+// of the dead peer is delayed may first observe a *detector's* teardown and
+// blame the wrong rank. With it, the detector's last frame on each
+// connection names the root cause, and TCP ordering guarantees it is read
+// before that connection's EOF. The sends are synchronous, so by the time
+// the failure surfaces to the caller (and the caller tears the
+// communicator down) the gossip frames are already on the wire.
 //
 // onDown fires with the failed peer's mutex held, so the lock order is
 // peer mutex, then gossipOnce, then other peers' send mutexes. Nothing
@@ -635,12 +594,9 @@ func (c *Comm) rootCauseLocked() (pd *comm.PeerDown, closed bool) {
 // dead() reads an atomic flag. No path acquires a peer mutex or the once
 // while holding a send mutex, so the order is acyclic. Send errors are
 // ignored: gossip is best-effort.
-func (c *Comm) gossipDown(downRank int, closed bool) {
+func (c *Comm) gossipDown(downRank int) {
 	c.gossipOnce.Do(func() {
-		payload := []byte{byte(downRank), byte(downRank >> 8), byte(downRank >> 16), byte(downRank >> 24), 0}
-		if closed {
-			payload[4] = 1
-		}
+		payload := []byte{byte(downRank), byte(downRank >> 8), byte(downRank >> 16), byte(downRank >> 24)}
 		for _, pe := range c.peers {
 			if pe == nil || pe.rank == downRank || pe.dead() {
 				continue
@@ -695,16 +651,11 @@ func (c *Comm) readLoop(pe *peer) {
 			c.statsMu.Unlock()
 			continue
 		}
-		if f.Tag == byeTag {
-			pe.bye = true
-			pe.mu.Unlock()
-			continue
-		}
 		if f.Tag == downTag {
 			pe.mu.Unlock()
-			if len(f.Payload) == 5 {
+			if len(f.Payload) == 4 {
 				down := int(uint32(f.Payload[0]) | uint32(f.Payload[1])<<8 | uint32(f.Payload[2])<<16 | uint32(f.Payload[3])<<24)
-				c.peerReportedDown(down, pe.rank, f.Payload[4] == 1)
+				c.peerReportedDown(down, pe.rank)
 			}
 			continue
 		}
@@ -714,24 +665,23 @@ func (c *Comm) readLoop(pe *peer) {
 	}
 }
 
-// peerReportedDown applies failure gossip: reporter has declared down dead,
-// so this rank declares it dead too (idempotently) instead of waiting for
-// its own detector or, worse, misattributing the reporter's teardown. A
-// peer reported closed is only recorded (see firstClosed): its connection
-// ends on its own, after the frames it sent last.
-func (c *Comm) peerReportedDown(down, reporter int, closed bool) {
+// peerReportedDown applies failure gossip: reporter has declared down
+// dead, so this rank records it as the cascade's root cause (unless it
+// already has one) instead of misattributing the reporter's teardown. The
+// report never cuts this rank's own connection to down: a peer that closed
+// in order may still have its last frames in flight on it, and one that
+// crashed or wedged fails that connection on its own (EOF, or this rank's
+// PeerTimeout).
+func (c *Comm) peerReportedDown(down, reporter int) {
 	if down < 0 || down >= len(c.peers) || down == c.cfg.Rank || c.peers[down] == nil {
 		return
 	}
-	if closed {
-		c.statsMu.Lock()
-		c.noteDownLocked(&comm.PeerDown{Rank: down, Addr: c.cfg.Addrs[down],
-			Cause: fmt.Sprintf("closed, reported by rank %d", reporter)}, true)
-		c.statsMu.Unlock()
-		return
+	c.statsMu.Lock()
+	if c.firstDown == nil {
+		c.firstDown = &comm.PeerDown{Rank: down, Addr: c.cfg.Addrs[down],
+			Cause: fmt.Sprintf("reported down by rank %d", reporter)}
 	}
-	c.peers[down].fail(&comm.PeerDown{Rank: down, Addr: c.cfg.Addrs[down],
-		Cause: fmt.Sprintf("reported down by rank %d", reporter)})
+	c.statsMu.Unlock()
 }
 
 // heartbeatLoop pumps liveness frames to every live peer until Close, and
@@ -882,7 +832,7 @@ func (c *Comm) attribute(peerRank int, err error) error {
 		return fmt.Errorf("tcpcomm: rank %d: connection to rank %d failed: %w", c.cfg.Rank, peerRank, err)
 	}
 	c.statsMu.Lock()
-	first, _ := c.rootCauseLocked()
+	first := c.firstDown
 	c.statsMu.Unlock()
 	if first != nil && first.Rank != pd.Rank {
 		return fmt.Errorf("tcpcomm: rank %d: connection to rank %d failed (%v); first peer failure: %w",
@@ -974,23 +924,13 @@ func (c *Comm) Recv(from int, tag comm.Tag) ([]byte, error) {
 // Close tears down all connections and the listener, and stops the
 // heartbeat pump. Any Recv blocked on a peer — and any issued afterwards —
 // is woken promptly with an error wrapping ErrClosed; frames already
-// queued are still delivered before the error surfaces. Every live peer
-// is first sent a bye frame (best-effort, see byeTag).
+// queued are still delivered before the error surfaces.
 func (c *Comm) Close() error {
 	var err error
 	c.closed.Do(func() {
 		close(c.quit)
 		if c.listener != nil {
 			err = c.listener.Close()
-		}
-		for _, pe := range c.peers {
-			if pe != nil && !pe.dead() {
-				pe.sendM.Lock()
-				pe.conn.SetWriteDeadline(time.Now().Add(byeTimeout))
-				pe.fr.Send(wire.Frame{Tag: byeTag}) //nolint:errcheck
-				pe.conn.SetWriteDeadline(time.Time{})
-				pe.sendM.Unlock()
-			}
 		}
 		for _, pe := range c.peers {
 			if pe != nil {

@@ -10,6 +10,14 @@ import "math"
 // 32 bytes per cut, next to the cut's own 8).
 const guidePerCut = 8
 
+// guideMinCuts is the smallest structure that gets a guide table. Below it
+// the forward scan from the first cut is short (at most guideMinCuts-1
+// comparisons), while the table's 32 bytes per cut are twice what a
+// two-class structure counts per interval: the streaming frontier keeps a
+// HistBins-sized structure for every leaf and attribute, and their tables
+// raised its peak heap by a tenth.
+const guideMinCuts = 32
+
 // guide is the lookup table that makes Locate constant-time: a uniform grid
 // of guidePerCut buckets per cut over [lo, hi], the span of the finite
 // cuts. first[k] counts the cuts whose own bucket is below k.
@@ -24,11 +32,10 @@ const guidePerCut = 8
 // is why the answer equals a binary search bit for bit. ±Inf cuts (and
 // values beyond the span) clamp into the end buckets.
 //
-// A structure with fewer than two finite cuts, or whose span gives no
-// finite positive scale (a span beyond the float64 range, or a subnormal
-// one), gets no table: Locate then scans from the first cut, which is at
-// most two comparisons for the 0, 1 and 2-cut structures that actually
-// reach it.
+// A structure with fewer than guideMinCuts cuts or fewer than two finite
+// ones, or whose span gives no finite positive scale (a span beyond the
+// float64 range, or a subnormal one), gets no table: Locate then scans
+// from the first cut.
 type guide struct {
 	lo, scale float64
 	first     []int32
@@ -46,7 +53,7 @@ func newGuide(cuts []float64) guide {
 	for b > a && math.IsInf(cuts[b], 0) {
 		b--
 	}
-	if b-a < 1 {
+	if len(cuts) < guideMinCuts || b-a < 1 {
 		return guide{}
 	}
 	nb := guidePerCut * len(cuts)

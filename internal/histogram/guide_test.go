@@ -143,6 +143,33 @@ func TestLocateMatchesBinarySearch(t *testing.T) {
 		// A hand-built literal has no guide table and must agree too.
 		checkLocate(t, &Intervals{Cuts: cuts}, probes(cuts, rng))
 	}
+	// The same edge cases at guideMinCuts cuts and more, where the
+	// constructors build a table: ±Inf cuts clamp into the end buckets, and
+	// spans with no finite positive scale fall back to the scan.
+	steps := func(from, step float64, n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = from + float64(i)*step
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		cuts  []float64
+		table bool
+	}{
+		{steps(1, 1, guideMinCuts), true},
+		{append(append([]float64{math.Inf(-1)}, steps(1, 1, guideMinCuts)...), math.Inf(1)), true},
+		{append([]float64{math.Inf(-1)}, steps(-100, 0.5, guideMinCuts)...), true},
+		{append(append([]float64{-math.MaxFloat64}, steps(1, 1, guideMinCuts)...), math.MaxFloat64), false},
+		{steps(0, math.SmallestNonzeroFloat64, guideMinCuts+8), false},
+		{steps(1, 1, guideMinCuts-1), false},
+	} {
+		iv := Merge(&Intervals{Cuts: tc.cuts}, nil)
+		if got := len(iv.g.first) > 0; got != tc.table {
+			t.Fatalf("%d cuts from %g to %g: table built = %v, want %v", len(tc.cuts), tc.cuts[0], tc.cuts[len(tc.cuts)-1], got, tc.table)
+		}
+		checkLocate(t, iv, probes(tc.cuts, rng))
+	}
 }
 
 // FuzzLocate checks Locate against the binary search on cut sets built by

@@ -25,8 +25,9 @@ import (
 // Cuts[i]".
 //
 // The constructors (FromSample, Merge) also build the guide table that
-// makes Locate constant-time. A structure assembled by hand from a Cuts
-// literal has no guide; Locate is still exact on it, but scans every cut.
+// makes Locate constant-time, for structures of guideMinCuts cuts or more.
+// A structure assembled by hand from a Cuts literal has no guide; Locate
+// is still exact on it, but scans every cut.
 type Intervals struct {
 	Cuts []float64
 	g    guide
