@@ -45,11 +45,11 @@ vet-concurrency:
 chaos:
 	$(GO) test -race -run 'TestChaos' -v ./internal/pclouds/
 	$(GO) test -race ./internal/fault/... ./internal/comm/tcp/... ./internal/driver/... ./internal/stream/...
-	$(GO) test -race -run 'TestCheckpoint|TestResume|TestWriteBehind|TestPrefetch' ./internal/pclouds/ ./internal/fault/ ./internal/ooc/
+	$(GO) test -race -run 'TestCheckpoint|TestResume|TestResumeStepsPastFlippedManifest|TestWriteBehind|TestPrefetch' ./internal/pclouds/ ./internal/fault/ ./internal/ooc/
 	$(GO) test -race -run 'TestDrift|TestStationary|TestCorruptPublish' -v ./internal/stream/
 	$(GO) test -race -run 'TestRegistryQuarantines|TestRegistryRollback|TestRegistrySingleFile' ./internal/serve/
 	$(GO) test -race -run 'TestCorruptionDetected' -v ./internal/pclouds/
-	$(GO) test -race -run 'TestTailV2|TestCheckpointEveryBitFlip|TestCheckpointSourceBinding' ./internal/stream/
+	$(GO) test -race -run 'TestTailV2|TestCheckpointEveryBitFlip|TestCheckpointSourceBinding|TestResumeStaggeredCheckpointDamage' ./internal/stream/
 	$(GO) test -race ./internal/scrub/
 
 # chaos-quick is the self-healing subset that gates every commit: the
@@ -59,17 +59,18 @@ chaos:
 chaos-quick: vet
 	$(GO) test -race -timeout 300s -run 'TestSupervised|TestRunRank|TestSupervise' ./internal/driver/
 	$(GO) test -race -timeout 300s -run 'TestGeneration|TestDoorman|TestStale' ./internal/comm/tcp/
-	$(GO) test -race -timeout 300s -run 'TestCheckpointGC|TestAutoResume|TestDegraded|TestResume' ./internal/pclouds/
+	$(GO) test -race -timeout 300s -run 'TestCheckpointGC|TestAutoResume|TestDegraded|TestResume|TestResumeStepsPastFlippedManifest' ./internal/pclouds/
 
 # Short fuzz passes: the prediction-server request decoders (malformed
-# JSON/binary rows must get a 4xx, never a panic), the stream window
-# checkpoint decoder (garbage must error, accepted bytes must re-encode
-# identically), the v2 record-block decoder (corrupt blocks must fail
+# JSON/binary rows must get a 4xx, never a panic), the stream window and
+# batch level checkpoint decoders (garbage must error, accepted bytes must
+# re-encode identically), the v2 record-block decoder (corrupt blocks must fail
 # their CRC, never decode silently), and the guide-table Locate (must equal
 # a binary search on any cut set and value).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClassifyRequest -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=10s ./internal/stream
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeManifest -fuzztime=10s ./internal/pclouds
 	$(GO) test -run='^$$' -fuzz=FuzzRecordBlock -fuzztime=10s ./internal/record
 	$(GO) test -run='^$$' -fuzz=FuzzLocate -fuzztime=10s ./internal/histogram
 

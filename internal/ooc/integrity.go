@@ -35,10 +35,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sync"
 	"time"
+
+	"pclouds/internal/durable"
 )
 
 // FrameMagic starts every frame written by a VerifyingBackend; scrubbers
@@ -52,8 +53,6 @@ const FrameHeaderSize = 16
 // aside by Store.Quarantine, mirroring the serve registry's convention for
 // corrupt published models.
 const QuarantineSuffix = ".quarantined"
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt is the sentinel wrapped by every CorruptionError; callers test
 // with errors.Is.
@@ -252,7 +251,7 @@ func checkFrameHeader(name string, off int64, seq uint32, hdr []byte) (uint32, *
 // checkFrameCRC recomputes the frame checksum over header fields + payload.
 func checkFrameCRC(name string, off int64, seq uint32, hdr, payload []byte) *CorruptionError {
 	want := binary.LittleEndian.Uint32(hdr[12:])
-	got := crc32.Update(crc32.Checksum(hdr[:12], castagnoli), castagnoli, payload)
+	got := durable.Update(durable.Checksum(hdr[:12]), payload)
 	if want != got {
 		return &CorruptionError{File: name, Offset: off, Seq: seq, WantCRC: want, GotCRC: got, Reason: "frame checksum mismatch"}
 	}
@@ -377,7 +376,7 @@ func (w *verifyWriter) emit() error {
 	copy(f, FrameMagic)
 	binary.LittleEndian.PutUint32(f[4:], w.seq)
 	binary.LittleEndian.PutUint32(f[8:], uint32(len(w.buf)))
-	crc := crc32.Update(crc32.Checksum(f[:12], castagnoli), castagnoli, w.buf)
+	crc := durable.Update(durable.Checksum(f[:12]), w.buf)
 	binary.LittleEndian.PutUint32(f[12:], crc)
 	f = append(f, w.buf...)
 	if _, err := w.inner.Write(f); err != nil {

@@ -4,12 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
+	"pclouds/internal/durable"
 	"pclouds/internal/record"
 	"pclouds/internal/tree"
 )
@@ -18,47 +16,41 @@ import (
 // synchronisation point after every completed tree level: each rank holds
 // exactly one store file per frontier task, every rank agrees on the task
 // list, and rank 0's partial tree contains every node built so far. At that
-// point each rank persists a manifest of its frontier (and rank 0 the
-// partial tree) atomically — temp file, fsync, rename, the tree.SaveFile
-// pattern — so a later run can resume from the last complete level instead
-// of rebuilding from scratch. The resumed build re-derives frontier samples
+// point each rank persists a manifest of its frontier (rank 0's also
+// carries the partial tree), so a later run can resume from the last
+// complete level instead of rebuilding from scratch. The resumed build re-derives frontier samples
 // by routing the shared root sample through the partial tree's splitters
 // and re-runs each frontier node's statistics pass (deriveSplit handles
 // tasks without fused statistics), which reproduces the uninterrupted
 // build's tree bit-identically.
 //
-// Checkpoints live in per-level directories (level-0001, level-0002, …)
-// under Config.CheckpointDir. Levels are written independently by each
-// rank; a commit collective after every level tells all ranks whether the
-// level is complete everywhere, gating garbage collection. Because a crash
-// can land between two ranks' checkpoint writes, ranks may legitimately
-// disagree by one level; resume therefore agrees (collectively) on the
-// newest level complete on *every* rank and restores from that. To make
-// the one-level fallback possible, a consumed frontier file is not deleted
-// when the build partitions it — its removal is deferred until every
-// checkpoint level referencing it has been pruned (keepLevels bounds the
-// retained window, so disk stays bounded).
+// Each completed level is one epoch of the collective protocol in
+// internal/durable: every rank writes its manifest (rank 0's carries the
+// partial tree) as a sealed epoch file, a commit vote gates garbage
+// collection, and resume agrees collectively on the newest level every
+// rank can restore, stepping down together past levels that fail to
+// restore anywhere. To make the fallback possible, a consumed frontier
+// file is not deleted when the build partitions it — its removal is
+// deferred until every checkpoint level referencing it has been pruned
+// (durable.Keep bounds the retained window, so disk stays bounded).
 //
 // Degraded mode: a storage error during a checkpoint write is a warning,
-// not a build failure — the rank reports the level unusable in the commit
-// collective, every rank skips that level's GC, and the build carries on.
-// Resume simply never selects the incomplete level.
+// not a build failure — the level just does not commit, nobody prunes, and
+// the build carries on.
 //
 // What is NOT checkpointed: progress inside a level or inside the deferred
 // small-node phase. A crash there resumes from the preceding level
 // boundary; if the crash corrupted the frontier's store files, the
-// record-count verification below fails the resume with an explicit error
-// rather than building from torn data.
+// record-count verification below steps the resume past that level rather
+// than building from torn data.
 
-// ckptVersion guards manifest compatibility. Version 2 moved checkpoints
-// into per-level directories with deferred frontier-file removal.
-const ckptVersion = 2
+// ckptVersion guards manifest compatibility. Version 3 sealed the manifest
+// and folded the partial tree into rank 0's.
+const ckptVersion = 3
 
-// keepLevels is the retained checkpoint window: committing level L prunes
-// levels <= L-keepLevels. Two levels suffice — the commit collective after
-// every level bounds inter-rank skew to one level, so the newest level
-// complete on every rank is always L or L-1.
-const keepLevels = 2
+// CheckpointMagic begins every level checkpoint file (a durable sealed
+// file whose body is the JSON manifest).
+const CheckpointMagic = "PCLEVEL3"
 
 // ErrStopped is returned by Build when Config.StopAfterLevel ended the
 // build early at a checkpoint boundary: the checkpoint is complete and the
@@ -66,8 +58,8 @@ const keepLevels = 2
 // deterministic, rank-synchronised "kill".
 var ErrStopped = errors.New("pclouds: build stopped after checkpointed level")
 
-// ErrNoCheckpoint is returned by a resume when no checkpoint level is
-// complete on every rank. With Config.ResumeAuto the build falls back to a
+// ErrNoCheckpoint is returned by a resume when no checkpoint level
+// restores on every rank. With Config.ResumeAuto the build falls back to a
 // fresh start; with the strict Config.Resume it surfaces to the caller.
 // The decision is the result of a collective, so all ranks take the same
 // branch.
@@ -95,8 +87,7 @@ type ckptManifest struct {
 	// Split records the -split-method the build ran under. A resume under a
 	// different method would re-derive the remaining splits with a different
 	// protocol and silently produce a different tree, so it is rejected.
-	// Empty (manifests from before the field existed) means "sse".
-	Split string `json:"split,omitempty"`
+	Split string `json:"split"`
 	// DataCRC is the fingerprint of the dataset the build read (the v2
 	// record-file header checksum, Config.DataChecksum). A resume whose
 	// build reads a dataset with a different fingerprint is refused; zero
@@ -104,84 +95,33 @@ type ckptManifest struct {
 	DataCRC uint32     `json:"data_crc,omitempty"`
 	Pending []ckptTask `json:"pending"`
 	Small   []ckptTask `json:"small"`
+	// Tree is the partial tree (tree.EncodePartial), on rank 0 only.
+	Tree []byte `json:"tree,omitempty"`
 }
 
-func levelDir(dir string, level int) string {
-	return filepath.Join(dir, fmt.Sprintf("level-%04d", level))
-}
-
-func manifestPath(dir string, level, rank int) string {
-	return filepath.Join(levelDir(dir, level), fmt.Sprintf("rank%d.json", rank))
-}
-
-func treePath(dir string, level int) string {
-	return filepath.Join(levelDir(dir, level), "tree.bin")
-}
-
-// listLevels returns, ascending, the checkpoint levels under dir that hold
-// this rank's manifest (and, on rank 0, the partial tree). Levels another
-// rank wrote but this rank did not are this rank's holes — the resume
-// agreement below routes around them.
-func listLevels(dir string, rank int) ([]int, error) {
-	ents, err := os.ReadDir(dir)
+func encodeManifest(m *ckptManifest) ([]byte, error) {
+	body, err := json.Marshal(m)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
 		return nil, err
 	}
-	var levels []int
-	for _, e := range ents {
-		var lvl int
-		if !e.IsDir() {
-			continue
-		}
-		if _, err := fmt.Sscanf(e.Name(), "level-%d", &lvl); err != nil || lvl < 1 {
-			continue
-		}
-		if _, err := os.Stat(manifestPath(dir, lvl, rank)); err != nil {
-			continue
-		}
-		if rank == 0 {
-			if _, err := os.Stat(treePath(dir, lvl)); err != nil {
-				continue
-			}
-		}
-		levels = append(levels, lvl)
-	}
-	sort.Ints(levels)
-	return levels, nil
+	return durable.Seal(CheckpointMagic, body), nil
 }
 
-// atomicWrite persists data to path via temp+fsync+rename, the same
-// all-or-nothing discipline as tree.SaveFile.
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+func decodeManifest(raw []byte) (*ckptManifest, error) {
+	body, err := durable.Unseal(CheckpointMagic, raw)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("pclouds: level checkpoint: %w", err)
 	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	m := &ckptManifest{}
+	if err := json.Unmarshal(body, m); err != nil {
+		return nil, fmt.Errorf("pclouds: corrupt level manifest: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return m, nil
+}
+
+// openCheckpoints attaches this rank's handle on the checkpoint directory.
+func (b *pbuilder) openCheckpoints() {
+	b.ckpt = &durable.Epochs{Dir: b.cfg.CheckpointDir, Rank: b.c.Rank(), Warnf: b.warnf, Pruned: b.pruneConsumed}
 }
 
 func taskManifest(b *pbuilder, tasks []*nodeTask) ([]ckptTask, error) {
@@ -206,14 +146,8 @@ func taskManifest(b *pbuilder, tasks []*nodeTask) ([]ckptTask, error) {
 	return out, nil
 }
 
-// writeCheckpoint persists one completed level into its level directory:
-// this rank's manifest, and on rank 0 the partial tree. Every rank writes
-// independently; completeness is established by the commit collective in
-// checkpointLevel.
-func (b *pbuilder) writeCheckpoint(dir string, level int, root *tree.Node, pending, small []*nodeTask) error {
-	if err := os.MkdirAll(levelDir(dir, level), 0o755); err != nil {
-		return fmt.Errorf("pclouds: checkpoint dir: %w", err)
-	}
+// encodeLevel is this rank's sealed checkpoint of a just-completed level.
+func (b *pbuilder) encodeLevel(level int, root *tree.Node, pending, small []*nodeTask) ([]byte, error) {
 	m := ckptManifest{
 		Version: ckptVersion, Level: level,
 		Rank: b.c.Rank(), Size: b.c.Size(),
@@ -223,95 +157,50 @@ func (b *pbuilder) writeCheckpoint(dir string, level int, root *tree.Node, pendi
 	}
 	var err error
 	if m.Pending, err = taskManifest(b, pending); err != nil {
-		return err
+		return nil, err
 	}
 	if m.Small, err = taskManifest(b, small); err != nil {
-		return err
+		return nil, err
 	}
 	if b.c.Rank() == 0 {
-		// The checksum footer lets a resume reject a bit-flipped partial
-		// tree instead of decoding garbage (tree.StripChecksum verifies it).
-		blob := tree.AppendChecksum(tree.EncodePartial(&tree.Tree{Schema: b.schema, Root: root}))
-		if err := atomicWrite(treePath(dir, level), blob); err != nil {
-			return fmt.Errorf("pclouds: checkpoint tree: %w", err)
-		}
+		m.Tree = tree.EncodePartial(&tree.Tree{Schema: b.schema, Root: root})
 	}
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := atomicWrite(manifestPath(dir, level, m.Rank), data); err != nil {
-		return fmt.Errorf("pclouds: checkpoint manifest: %w", err)
-	}
-	b.stats.Checkpoints++
-	b.rec.Count("checkpoints", 1)
-	return nil
+	return encodeManifest(&m)
 }
 
-// checkpointLevel writes this rank's checkpoint for the just-completed
-// level, then runs the commit collective: every rank learns whether the
-// level is complete everywhere. Only a globally complete level triggers
-// garbage collection of superseded levels; a rank whose write failed logs
-// the failure and the build continues without that level (degraded mode).
-// The only fatal errors here are communication failures.
+// checkpointLevel commits the just-completed level. A rank whose write
+// failed logs it and the build continues without that level (degraded
+// mode); the only fatal errors are communication failures.
 func (b *pbuilder) checkpointLevel(level int, root *tree.Node, pending, small []*nodeTask) error {
-	ok := int64(1)
-	if werr := b.writeCheckpoint(b.cfg.CheckpointDir, level, root, pending, small); werr != nil {
-		ok = 0
-		b.stats.CheckpointFailures++
-		b.rec.Count("checkpoint-failures", 1)
-		b.warnf("pclouds: rank %d: checkpoint level %d failed, continuing without it: %v", b.c.Rank(), level, werr)
-	}
-	allOK, err := comm.AllReduceInt64(b.c, []int64{ok}, minI64)
-	if err != nil {
-		return err
-	}
 	// Seal the batch of frontier files consumed while building this level:
 	// they are referenced by manifests of level-1 and older, so they become
 	// deletable once level-1 is pruned, whether or not this level's own
-	// checkpoint is usable.
+	// checkpoint commits.
 	if len(b.curConsumed) > 0 {
 		b.consumed[level] = b.curConsumed
 		b.curConsumed = nil
 	}
-	if allOK[0] == 0 {
-		// The level is unusable on some rank. Nobody prunes, so the newest
-		// globally complete level — and every file its restore needs —
-		// survives for the next resume.
-		return nil
+	saveErr, err := b.ckpt.Commit(b.c, level, func() ([]byte, error) {
+		return b.encodeLevel(level, root, pending, small)
+	})
+	if err != nil {
+		return err
 	}
-	b.gcCheckpoints(level)
+	if saveErr != nil {
+		b.stats.CheckpointFailures++
+		b.warnf("pclouds: rank %d: checkpoint level %d failed, continuing without it: %v", b.c.Rank(), level, saveErr)
+	} else {
+		b.stats.Checkpoints++
+	}
+	b.syncCheckpointStats()
 	return nil
 }
 
-// gcCheckpoints prunes checkpoint state superseded by the globally
-// committed level: level directories <= level-keepLevels (each rank removes
-// only its own files, so concurrent ranks sharing one checkpoint directory
-// never race), and the deferred frontier-file removals whose referencing
-// manifests are now all gone. GC errors are warnings — leaking a stale
-// level never corrupts a build.
-func (b *pbuilder) gcCheckpoints(level int) {
-	dir := b.cfg.CheckpointDir
-	levels, err := listLevels(dir, b.c.Rank())
-	if err != nil {
-		b.warnf("pclouds: rank %d: checkpoint GC: %v", b.c.Rank(), err)
-		return
-	}
-	kept := 0
-	for _, lvl := range levels {
-		if lvl > level-keepLevels {
-			kept++
-			continue
-		}
-		b.removeLevel(lvl)
-		b.stats.CheckpointsPruned++
-		b.rec.Count("checkpoints-pruned", 1)
-	}
-	b.stats.CheckpointsKept = kept
-	// A consumed batch sealed at level M is referenced by manifests M-1 and
-	// older; all of those are pruned once M-1 <= level-keepLevels.
+// pruneConsumed is the GC hook: a consumed batch sealed at level M is
+// referenced by manifests M-1 and older, all gone once M-1 <= horizon.
+func (b *pbuilder) pruneConsumed(horizon int) {
 	for m, files := range b.consumed {
-		if m-1 > level-keepLevels {
+		if m-1 > horizon {
 			continue
 		}
 		for _, f := range files {
@@ -321,33 +210,8 @@ func (b *pbuilder) gcCheckpoints(level int) {
 	}
 }
 
-// removeLevel deletes this rank's artifacts of one checkpoint level (its
-// manifest; on rank 0 also the partial tree) and removes the level
-// directory once it is empty.
-func (b *pbuilder) removeLevel(lvl int) {
-	dir := b.cfg.CheckpointDir
-	os.Remove(manifestPath(dir, lvl, b.c.Rank()))
-	if b.c.Rank() == 0 {
-		os.Remove(treePath(dir, lvl))
-	}
-	// Succeeds only for the last rank out; earlier ranks' attempts fail
-	// with ENOTEMPTY, which is fine.
-	os.Remove(levelDir(dir, lvl))
-}
-
-// cleanOwnCheckpoints removes this rank's manifests from every checkpoint
-// level before a fresh build starts writing level 1. Without it, levels
-// left over from an earlier run could look newer than the fresh build's
-// own checkpoints and poison a later resume.
-func (b *pbuilder) cleanOwnCheckpoints() {
-	levels, err := listLevels(b.cfg.CheckpointDir, b.c.Rank())
-	if err != nil {
-		b.warnf("pclouds: rank %d: cleaning stale checkpoints: %v", b.c.Rank(), err)
-		return
-	}
-	for _, lvl := range levels {
-		b.removeLevel(lvl)
-	}
+func (b *pbuilder) syncCheckpointStats() {
+	b.stats.CheckpointsPruned, b.stats.CheckpointsKept = b.ckpt.Removed, b.ckpt.Kept
 }
 
 // finishCheckpoints is called after a successful build: the tree exists, so
@@ -363,16 +227,8 @@ func (b *pbuilder) finishCheckpoints() {
 		b.store.Remove(f)
 	}
 	b.curConsumed = nil
-	levels, err := listLevels(b.cfg.CheckpointDir, b.c.Rank())
-	if err != nil {
-		b.warnf("pclouds: rank %d: checkpoint cleanup: %v", b.c.Rank(), err)
-		return
-	}
-	for _, lvl := range levels {
-		b.removeLevel(lvl)
-		b.stats.CheckpointsPruned++
-	}
-	b.stats.CheckpointsKept = 0
+	b.ckpt.Wipe()
+	b.syncCheckpointStats()
 }
 
 // resumeState is a loaded checkpoint, ready to re-enter the level loop.
@@ -385,226 +241,139 @@ type resumeState struct {
 	nextID int
 }
 
-// agreeLevel finds the newest checkpoint level at most bound complete on
-// every rank. The loop is collective and deterministic: starting from the
-// minimum of every rank's newest level, it steps down until a candidate
-// exists everywhere (degraded-mode holes make "min of newest" insufficient
-// on its own). The bound lets the restore ladder exclude levels already
-// tried and found corrupt. Returns ErrNoCheckpoint — on every rank — when
-// no common level exists.
-func agreeLevel(c comm.Communicator, levels []int, bound int) (int, error) {
-	newestAtMost := func(bound int) int64 {
-		for i := len(levels) - 1; i >= 0; i-- {
-			if levels[i] <= bound {
-				return int64(levels[i])
-			}
-		}
-		return 0
-	}
-	cand, err := comm.AllReduceInt64(c, []int64{newestAtMost(bound)}, minI64)
-	if err != nil {
-		return 0, err
-	}
-	for cand[0] >= 1 {
-		have := int64(0)
-		for _, l := range levels {
-			if int64(l) == cand[0] {
-				have = 1
-			}
-		}
-		all, err := comm.AllReduceInt64(c, []int64{have}, minI64)
-		if err != nil {
-			return 0, err
-		}
-		if all[0] == 1 {
-			return int(cand[0]), nil
-		}
-		cand, err = comm.AllReduceInt64(c, []int64{newestAtMost(int(cand[0]) - 1)}, minI64)
-		if err != nil {
-			return 0, err
-		}
-	}
-	return 0, ErrNoCheckpoint
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// loadCheckpoint agrees with every other rank on the newest checkpoint
-// level complete everywhere, reads this rank's manifest for it, rebuilds
-// the partial tree from rank 0's blob, reconstitutes the frontier tasks —
+// loadCheckpoint restores the newest checkpoint level every rank can
+// restore (durable.Epochs.Resume): it reads this rank's manifest, rebuilds
+// the partial tree from rank 0's, and reconstitutes the frontier tasks —
 // samples re-derived from the shared root sample, attach closures
-// re-pointed into the decoded tree — and finally garbage-collects every
-// other (older or orphaned) checkpoint level.
-//
-// With Config.Integrity on, a level whose restore fails anywhere (a
-// quarantined frontier file, a checksum-failing partial tree, an unreadable
-// manifest) does not fail the resume outright: the ladder steps the agreed
-// bound below it and tries the next-newest level complete everywhere, until
-// a level restores cleanly or no candidates remain (ErrNoCheckpoint). The
-// step-down is collective — every rank fails restoreLevel's all-or-nothing
-// vote together — so ranks never diverge on which level they resume from.
+// re-pointed into the decoded tree. A level that fails anywhere (a
+// quarantined or missing frontier file, a bit-flipped manifest) steps
+// every rank down to the next older level together. Every other level is
+// garbage once one restores.
 func loadCheckpoint(cfg Config, c comm.Communicator, b *pbuilder, rootSample []record.Record) (*resumeState, error) {
-	dir := cfg.CheckpointDir
-	levels, err := listLevels(dir, c.Rank())
+	var st *resumeState
+	var m *ckptManifest
+	lvl, err := b.ckpt.Resume(c, func(lvl int) error {
+		var rerr error
+		st, m, rerr = restoreLevel(cfg, c, b, rootSample, lvl)
+		return rerr
+	})
 	if err != nil {
-		return nil, fmt.Errorf("pclouds: resume: %w", err)
+		return nil, err
 	}
-	bound := int(^uint(0) >> 1)
-	for {
-		lvl, err := agreeLevel(c, levels, bound)
-		if err != nil {
-			return nil, err
-		}
-		st, m, restoreErr, err := restoreLevel(cfg, c, b, rootSample, dir, lvl)
-		if err != nil {
-			return nil, err
-		}
-		if restoreErr == nil {
-			gcAfterRestore(b, dir, levels, lvl, m)
-			return st, nil
-		}
-		if !cfg.Integrity {
-			return nil, restoreErr
-		}
-		b.warnf("pclouds: rank %d: resume from checkpoint level %d failed (%v); trying an older level",
-			c.Rank(), lvl, restoreErr)
-		bound = lvl - 1
+	if lvl == 0 {
+		return nil, ErrNoCheckpoint
 	}
+	b.removeUnreferenced(lvl, m)
+	b.ckpt.Retain(lvl)
+	b.syncCheckpointStats()
+	return st, nil
 }
 
-// restoreLevel attempts to reconstitute one agreed checkpoint level. The
-// outcome is split: err is fatal (communication failures, configuration
-// mismatches — identical on every rank by construction); restoreErr is a
-// per-level failure the integrity ladder may step past. Every rank reaches
-// the Broadcast and the all-or-nothing vote no matter where its local
-// restore failed, so a partially-corrupt level can never deadlock the
+// restoreLevel attempts to reconstitute one agreed checkpoint level.
+// Configuration mismatches are durable.Fatal; any other error steps the
+// group down a level. Every rank reaches the Broadcast no matter where its
+// local restore failed, so a partially-corrupt level never deadlocks the
 // group.
-func restoreLevel(cfg Config, c comm.Communicator, b *pbuilder, rootSample []record.Record, dir string, lvl int) (*resumeState, ckptManifest, error, error) {
-	var m ckptManifest
-	var localErr error
-	data, err := os.ReadFile(manifestPath(dir, lvl, c.Rank()))
-	if err != nil {
-		localErr = fmt.Errorf("pclouds: resume: %w", err)
-	} else if err := json.Unmarshal(data, &m); err != nil {
-		localErr = fmt.Errorf("pclouds: resume: corrupt manifest: %w", err)
+func restoreLevel(cfg Config, c comm.Communicator, b *pbuilder, rootSample []record.Record, lvl int) (*resumeState, *ckptManifest, error) {
+	raw, err := b.ckpt.Read(lvl)
+	var m *ckptManifest
+	if err == nil {
+		m, err = decodeManifest(raw)
 	}
-	if localErr == nil {
-		// Configuration mismatches are symmetric — every rank's manifest was
-		// written by the same build — so failing before the collectives is
-		// safe, and stepping down a level could not fix them anyway.
-		if m.Version != ckptVersion {
-			return nil, m, nil, fmt.Errorf("pclouds: resume: manifest version %d, want %d", m.Version, ckptVersion)
-		}
-		if m.Rank != c.Rank() || m.Size != c.Size() {
-			return nil, m, nil, fmt.Errorf("pclouds: resume: manifest is for rank %d of %d, this group is rank %d of %d",
-				m.Rank, m.Size, c.Rank(), c.Size())
-		}
-		ckptSplit := m.Split
-		if ckptSplit == "" {
-			ckptSplit = clouds.SplitSSE.String()
-		}
-		if got := cfg.Clouds.Split.String(); ckptSplit != got {
-			return nil, m, nil, fmt.Errorf("pclouds: resume: checkpoint was written with -split-method %s, this build uses %s",
-				ckptSplit, got)
-		}
-		if m.DataCRC != 0 && cfg.DataChecksum != 0 && m.DataCRC != cfg.DataChecksum {
-			return nil, m, nil, fmt.Errorf("pclouds: resume: checkpoint was written against dataset fingerprint %08x, this build reads %08x — refusing to resume on different data",
-				m.DataCRC, cfg.DataChecksum)
-		}
+	if err == nil {
+		err = checkManifest(cfg, c, m, lvl)
 	}
 
 	// Rank 0 owns the partial tree; everyone decodes the same bytes. A
-	// read or checksum failure on rank 0 broadcasts an empty blob, which
-	// every rank turns into the same per-level failure.
+	// failure on rank 0 broadcasts an empty blob, which every rank turns
+	// into the same per-level failure.
 	var blob []byte
-	if c.Rank() == 0 && localErr == nil {
-		tb, terr := os.ReadFile(treePath(dir, lvl))
-		if terr == nil {
-			tb, _, terr = tree.StripChecksum(tb)
-		}
-		if terr != nil {
-			localErr = fmt.Errorf("pclouds: resume: partial tree: %w", terr)
-		} else {
-			blob = tb
-		}
+	if c.Rank() == 0 && err == nil {
+		blob = m.Tree
 	}
-	blob, err = comm.Broadcast(c, 0, blob)
+	blob, berr := comm.Broadcast(c, 0, blob)
+	if berr != nil {
+		return nil, nil, durable.Fatal(berr)
+	}
 	if err != nil {
-		return nil, m, nil, err
+		return nil, nil, err
 	}
-	st := &resumeState{level: m.Level, nRoot: m.NRoot, nextID: m.NextID}
-	if localErr == nil {
-		if len(blob) == 0 {
-			localErr = fmt.Errorf("pclouds: resume: rank 0 could not provide the partial tree")
-		} else if pt, perr := tree.DecodePartial(b.schema, blob); perr != nil {
-			localErr = fmt.Errorf("pclouds: resume: partial tree: %w", perr)
-		} else if pt.Root == nil {
-			localErr = fmt.Errorf("pclouds: resume: checkpoint has no built nodes")
-		} else {
-			st.root = pt.Root
-		}
+	if len(blob) == 0 {
+		return nil, nil, fmt.Errorf("pclouds: resume: rank 0 could not provide the partial tree")
 	}
-	if localErr == nil {
-		if st.queue, localErr = restoreTasks(b, st.root, rootSample, m.Pending); localErr == nil {
-			st.small, localErr = restoreTasks(b, st.root, rootSample, m.Small)
-		}
-	}
-	// Resume is all-or-nothing: if any rank's restore failed, every rank
-	// must agree here — a rank that proceeded alone would block forever in
-	// the first collective of the level loop.
-	ok := int64(1)
-	if localErr != nil {
-		ok = 0
-	}
-	allOK, err := comm.AllReduceInt64(c, []int64{ok}, minI64)
+	pt, err := tree.DecodePartial(b.schema, blob)
 	if err != nil {
-		return nil, m, nil, err
+		return nil, nil, fmt.Errorf("pclouds: resume: partial tree: %w", err)
 	}
-	if localErr != nil {
-		return nil, m, localErr, nil
+	if pt.Root == nil {
+		return nil, nil, fmt.Errorf("pclouds: resume: checkpoint has no built nodes")
 	}
-	if allOK[0] == 0 {
-		return nil, m, fmt.Errorf("pclouds: resume: another rank failed to restore checkpoint level %d", lvl), nil
+	st := &resumeState{level: lvl, root: pt.Root, nRoot: m.NRoot, nextID: m.NextID}
+	if st.queue, err = restoreTasks(b, st.root, rootSample, m.Pending); err != nil {
+		return nil, nil, err
 	}
-	return st, m, nil, nil
+	if st.small, err = restoreTasks(b, st.root, rootSample, m.Small); err != nil {
+		return nil, nil, err
+	}
+	return st, m, nil
 }
 
-// gcAfterRestore runs once the restore is committed; every other
-// checkpoint level is garbage. Older levels were superseded; newer ones are
-// orphans — incomplete on some rank (this rank possibly ahead of a crashed
-// peer). The resumed build rewrites them. Frontier files referenced only by
-// a pruned orphan (not by the restored level) are deleted with it.
-func gcAfterRestore(b *pbuilder, dir string, levels []int, lvl int, m ckptManifest) {
-	c := b.c
+// checkManifest validates a decoded manifest against this build. Every
+// rank's manifest was written by the same build, so configuration
+// mismatches are fatal — stepping down a level could not fix them.
+func checkManifest(cfg Config, c comm.Communicator, m *ckptManifest, lvl int) error {
+	if m.Level != lvl {
+		return fmt.Errorf("pclouds: resume: level %d manifest in the file for level %d", m.Level, lvl)
+	}
+	if m.Version != ckptVersion {
+		return durable.Fatal(fmt.Errorf("pclouds: resume: manifest version %d, want %d", m.Version, ckptVersion))
+	}
+	if m.Rank != c.Rank() || m.Size != c.Size() {
+		return durable.Fatal(fmt.Errorf("pclouds: resume: manifest is for rank %d of %d, this group is rank %d of %d",
+			m.Rank, m.Size, c.Rank(), c.Size()))
+	}
+	if got := cfg.Clouds.Split.String(); m.Split != got {
+		return durable.Fatal(fmt.Errorf("pclouds: resume: checkpoint was written with -split-method %s, this build uses %s",
+			m.Split, got))
+	}
+	if m.DataCRC != 0 && cfg.DataChecksum != 0 && m.DataCRC != cfg.DataChecksum {
+		return durable.Fatal(fmt.Errorf("pclouds: resume: checkpoint was written against dataset fingerprint %08x, this build reads %08x — refusing to resume on different data",
+			m.DataCRC, cfg.DataChecksum))
+	}
+	return nil
+}
+
+// removeUnreferenced deletes the frontier files referenced only by levels
+// other than the restored one, before Retain drops those levels: older
+// levels' consumed frontiers and newer orphans' (a level incomplete on some
+// rank, which the resumed build rewrites).
+func (b *pbuilder) removeUnreferenced(lvl int, m *ckptManifest) {
 	keep := make(map[string]bool, len(m.Pending)+len(m.Small))
-	for _, ct := range m.Pending {
-		keep[ct.File] = true
+	for _, ts := range [][]ckptTask{m.Pending, m.Small} {
+		for _, ct := range ts {
+			keep[ct.File] = true
+		}
 	}
-	for _, ct := range m.Small {
-		keep[ct.File] = true
-	}
-	for _, other := range levels {
+	for _, other := range b.ckpt.List() {
 		if other == lvl {
 			continue
 		}
-		var om ckptManifest
-		if data, err := os.ReadFile(manifestPath(dir, other, c.Rank())); err == nil && json.Unmarshal(data, &om) == nil {
-			for _, ct := range append(om.Pending, om.Small...) {
+		raw, err := b.ckpt.Read(other)
+		if err != nil {
+			continue
+		}
+		om, err := decodeManifest(raw)
+		if err != nil {
+			continue
+		}
+		for _, ts := range [][]ckptTask{om.Pending, om.Small} {
+			for _, ct := range ts {
 				if !keep[ct.File] {
 					b.store.Remove(ct.File)
 				}
 			}
 		}
-		b.removeLevel(other)
-		b.stats.CheckpointsPruned++
-		b.rec.Count("checkpoints-pruned", 1)
 	}
-	b.stats.CheckpointsKept = 1
 }
 
 func restoreTasks(b *pbuilder, root *tree.Node, rootSample []record.Record, ck []ckptTask) ([]*nodeTask, error) {

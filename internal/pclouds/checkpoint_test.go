@@ -1,7 +1,6 @@
 package pclouds
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -145,8 +144,8 @@ func TestResumeDetectsMissingStoreFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m ckptManifest
-	if err := json.Unmarshal(raw, &m); err != nil {
+	m, err := decodeManifest(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
 	victims := append(m.Pending, m.Small...)
@@ -485,6 +484,67 @@ func TestAutoResume(t *testing.T) {
 		}
 		if !tree.Equal(ref, treesB[r]) {
 			t.Fatalf("auto-resume rank %d tree differs", r)
+		}
+	}
+}
+
+// TestResumeStepsPastFlippedManifest: a bit flip inside a level manifest —
+// here one digit of a task's record count, which still parses — must be
+// detected, and the resume must step down to the previous level and still
+// build the uninterrupted tree.
+func TestResumeStepsPastFlippedManifest(t *testing.T) {
+	const p = 2
+	data := makeData(t, 4000, 2, 42)
+	cfg := testConfig(clouds.SSE)
+	sample := cfg.Clouds.SampleFor(data)
+	ref, _ := buildParallel(t, cfg, data, sample, p)
+
+	cfg.CheckpointDir = t.TempDir()
+	cfg.StopAfterLevel = 2
+	comms := comm.NewGroup(p, costmodel.Zero())
+	stores := distribute(t, data, p, costmodel.Zero(), comms)
+	_, _, errs := buildWithStores(cfg, comms, stores, sample)
+	for r, err := range errs {
+		if !errors.Is(err, ErrStopped) {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	for r := 0; r < p; r++ {
+		path := manifestPath(cfg.CheckpointDir, 2, r)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := strings.Index(string(raw), `"n":`)
+		if i < 0 {
+			t.Fatalf("rank %d level-2 manifest has no task count", r)
+		}
+		i += len(`"n":`)
+		for raw[i] == ' ' {
+			i++
+		}
+		raw[i] ^= 0x01 // one digit becomes another
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cfg.StopAfterLevel = 0
+	cfg.Resume = true
+	cfg.Warnf = func(string, ...any) {}
+	comms2 := comm.NewGroup(p, costmodel.Zero())
+	trees, stats, errs2 := buildWithStores(cfg, comms2, stores, sample)
+	for r, err := range errs2 {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	for r := 0; r < p; r++ {
+		if stats[r].ResumedLevel != 1 {
+			t.Errorf("rank %d resumed from level %d, want 1 (level 2's manifest is corrupt)", r, stats[r].ResumedLevel)
+		}
+		if !tree.Equal(ref, trees[r]) {
+			t.Errorf("rank %d's tree differs from the uninterrupted build", r)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package pclouds
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -76,13 +75,13 @@ func TestChaosCorruptionRecovered(t *testing.T) {
 	var hookOnce sync.Once
 	var hookErr error
 	flipFrontierBit := func() {
-		data, err := os.ReadFile(filepath.Join(ckptDir, "level-0002", "rank1.json"))
+		data, err := os.ReadFile(manifestPath(ckptDir, 2, 1))
 		if err != nil {
 			hookErr = err
 			return
 		}
-		var m ckptManifest
-		if err := json.Unmarshal(data, &m); err != nil {
+		m, err := decodeManifest(data)
+		if err != nil {
 			hookErr = err
 			return
 		}

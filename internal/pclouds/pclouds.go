@@ -38,6 +38,7 @@ import (
 
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
+	"pclouds/internal/durable"
 	"pclouds/internal/gini"
 	"pclouds/internal/obs"
 	"pclouds/internal/ooc"
@@ -112,18 +113,18 @@ type Config struct {
 	// phase boundary.
 	Trace *obs.Recorder
 	// CheckpointDir, when non-empty, enables per-level checkpointing: after
-	// each completed tree level this rank writes its frontier manifest (and
-	// rank 0 the partial tree) atomically under this directory. See
+	// each completed tree level this rank commits its frontier manifest
+	// (rank 0's carries the partial tree) under this directory. See
 	// checkpoint.go for the recovery guarantees.
 	CheckpointDir string
 	// Resume restarts the build from the checkpoint in CheckpointDir
 	// instead of from rootName: the staged root file is not consulted, and
-	// the build continues from the newest checkpoint level complete on
-	// every rank, producing the identical tree. It fails with
+	// the build continues from the newest checkpoint level every rank can
+	// restore, producing the identical tree. It fails with
 	// ErrNoCheckpoint when no such level exists.
 	Resume bool
 	// ResumeAuto is the self-healing variant of Resume: restore from the
-	// newest checkpoint level complete on every rank if one exists,
+	// newest checkpoint level every rank can restore if one exists,
 	// otherwise fall back to a fresh build from the staged root file. The
 	// decision is collective, so all ranks take the same branch. The
 	// supervisor's respawned ranks use it — a crash before the first
@@ -257,6 +258,7 @@ type pbuilder struct {
 	// checkpoint.go.
 	curConsumed []string
 	consumed    map[int][]string
+	ckpt        *durable.Epochs // nil without a checkpoint directory
 }
 
 // warnf reports a survivable degradation (see Config.Warnf).
@@ -364,6 +366,7 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 			return nil, nil, fmt.Errorf("pclouds: Resume requires CheckpointDir")
 		}
 		b = &pbuilder{cfg: cfg, c: c, store: store, schema: schema, rec: rec, consumed: map[int][]string{}}
+		b.openCheckpoints()
 		rs, err := loadCheckpoint(cfg, c, b, sample)
 		switch {
 		case err == nil:
@@ -374,7 +377,8 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 			resumed = true
 		case errors.Is(err, ErrNoCheckpoint) && cfg.ResumeAuto:
 			// No usable checkpoint anywhere: fall back to a fresh build.
-			// agreeLevel is collective, so every rank falls back together.
+			// The resume ladder is collective, so every rank falls back
+			// together.
 		default:
 			return nil, nil, err
 		}
@@ -412,7 +416,8 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 			// before (e.g. the ResumeAuto fallback after a crash with no
 			// usable checkpoint): remove it so stale levels can never look
 			// newer than the ones this build is about to write.
-			b.cleanOwnCheckpoints()
+			b.openCheckpoints()
+			b.ckpt.Wipe()
 		}
 		queue = []*nodeTask{{
 			id: "n", file: rootName, sample: sample, depth: 0,

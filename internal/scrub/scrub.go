@@ -1,12 +1,13 @@
 // Package scrub implements the offline data-plane integrity scrubber: it
 // walks a directory of pclouds artifacts, classifies each file by its
 // leading magic bytes, and verifies every checksum the format carries —
-// record v2 block files, ooc frame streams, serialised models, and stream
-// window checkpoints. Files without an integrity format (legacy v1 record
-// files, arbitrary bytes) are reported as unverifiable rather than passed,
-// and files already quarantined by the online recovery path are skipped so
-// a scrub after an incident stays clean. The scrubber reads raw files on
-// disk; it needs no schema and never mutates anything.
+// record v2 block files, ooc frame streams, serialised models, and the
+// sealed checkpoint files of batch levels and stream windows. Files
+// without an integrity format (legacy v1 record files, arbitrary bytes)
+// are reported as unverifiable rather than passed, and files already
+// quarantined by the online recovery path are skipped so a scrub after an
+// incident stays clean. The scrubber reads raw files on disk; it needs no
+// schema and never mutates anything.
 package scrub
 
 import (
@@ -21,7 +22,9 @@ import (
 	"sort"
 	"strings"
 
+	"pclouds/internal/durable"
 	"pclouds/internal/ooc"
+	"pclouds/internal/pclouds"
 	"pclouds/internal/record"
 	"pclouds/internal/stream"
 	"pclouds/internal/tree"
@@ -44,7 +47,7 @@ const (
 // Result is the scrub verdict for one file.
 type Result struct {
 	Path   string
-	Kind   string // "record-v2", "ooc-frames", "model", "stream-ckpt", "json", "quarantined", "unknown"
+	Kind   string // "record-v2", "ooc-frames", "model", "stream-ckpt", "level-ckpt", "json", "quarantined", "unknown"
 	Status Status
 	Detail string
 }
@@ -123,21 +126,28 @@ func File(path string) Result {
 		return Result{Path: path, Kind: "unknown", Status: StatusFail, Detail: err.Error()}
 	}
 
-	switch {
-	case len(head) >= 8 && string(head) == record.V2Magic:
-		return scrubRecordV2(path, f)
-	case len(head) >= 4 && string(head[:4]) == ooc.FrameMagic:
-		return scrubFrames(path, f)
-	case len(head) >= 8 && string(head) == stream.CheckpointMagic:
-		return scrubCheckpoint(path)
-	case len(head) >= 4 && binary.LittleEndian.Uint32(head) == tree.ModelMagic:
-		return scrubModel(path)
-	case strings.HasSuffix(path, ".json"):
-		return scrubJSON(path)
-	default:
-		return Result{Path: path, Kind: "unknown", Status: StatusNote,
-			Detail: "no integrity format (legacy v1 record file or foreign data); cannot verify"}
+	for _, fm := range formats {
+		if bytes.HasPrefix(head, []byte(fm.magic)) {
+			return fm.verify(path, f)
+		}
 	}
+	if strings.HasSuffix(path, ".json") {
+		return scrubJSON(path)
+	}
+	return Result{Path: path, Kind: "unknown", Status: StatusNote,
+		Detail: "no integrity format (legacy v1 record file or foreign data); cannot verify"}
+}
+
+// formats maps each leading magic to the verifier of its format.
+var formats = []struct {
+	magic  string
+	verify func(path string, f *os.File) Result
+}{
+	{record.V2Magic, scrubRecordV2},
+	{ooc.FrameMagic, scrubFrames},
+	{stream.CheckpointMagic, sealed("stream-ckpt", stream.CheckpointMagic)},
+	{pclouds.CheckpointMagic, sealed("level-ckpt", pclouds.CheckpointMagic)},
+	{string(binary.LittleEndian.AppendUint32(nil, tree.ModelMagic)), scrubModel},
 }
 
 func scrubRecordV2(path string, f *os.File) Result {
@@ -158,19 +168,23 @@ func scrubFrames(path string, f *os.File) Result {
 		Detail: fmt.Sprintf("%d frames, %d logical bytes", frames, logical)}
 }
 
-func scrubCheckpoint(path string) Result {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return Result{Path: path, Kind: "stream-ckpt", Status: StatusFail, Detail: err.Error()}
+// sealed verifies a durable sealed file (checkpoint epochs): magic and
+// whole-file CRC-32C trailer.
+func sealed(kind, magic string) func(string, *os.File) Result {
+	return func(path string, _ *os.File) Result {
+		raw, err := os.ReadFile(path)
+		if err == nil {
+			_, err = durable.Unseal(magic, raw)
+		}
+		if err != nil {
+			return Result{Path: path, Kind: kind, Status: StatusFail, Detail: err.Error()}
+		}
+		return Result{Path: path, Kind: kind, Status: StatusOK,
+			Detail: fmt.Sprintf("%d bytes, file checksum verified", len(raw))}
 	}
-	if err := stream.VerifyCheckpointBytes(raw); err != nil {
-		return Result{Path: path, Kind: "stream-ckpt", Status: StatusFail, Detail: err.Error()}
-	}
-	return Result{Path: path, Kind: "stream-ckpt", Status: StatusOK,
-		Detail: fmt.Sprintf("%d bytes, file checksum verified", len(raw))}
 }
 
-func scrubModel(path string) Result {
+func scrubModel(path string, _ *os.File) Result {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return Result{Path: path, Kind: "model", Status: StatusFail, Detail: err.Error()}

@@ -3,14 +3,19 @@ package scrub
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"pclouds/internal/clouds"
+	"pclouds/internal/comm"
 	"pclouds/internal/costmodel"
 	"pclouds/internal/datagen"
+	"pclouds/internal/durable"
 	"pclouds/internal/ooc"
-	"pclouds/internal/record"
+	"pclouds/internal/pclouds"
 	"pclouds/internal/stream"
 	"pclouds/internal/tree"
 )
@@ -65,7 +70,13 @@ func writeFixtures(t *testing.T, dir string) map[string]string {
 	// Stream window checkpoint envelope (magic + body + file checksum).
 	body := append([]byte(stream.CheckpointMagic), make([]byte, 64)...)
 	ckptPath := filepath.Join(dir, "window-000003.ckpt")
-	if err := os.WriteFile(ckptPath, binary.LittleEndian.AppendUint32(body, record.Checksum(body)), 0o644); err != nil {
+	if err := os.WriteFile(ckptPath, binary.LittleEndian.AppendUint32(body, durable.Checksum(body)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Batch level checkpoint (sealed JSON manifest).
+	levelPath := filepath.Join(dir, "rank-001.ck")
+	if err := os.WriteFile(levelPath, durable.Seal(pclouds.CheckpointMagic, []byte(`{"version":3,"level":1}`)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,6 +97,7 @@ func writeFixtures(t *testing.T, dir string) map[string]string {
 		"ooc-frames":  filepath.Join(dir, "frontier"),
 		"model":       modelPath,
 		"stream-ckpt": ckptPath,
+		"level-ckpt":  levelPath,
 	}
 }
 
@@ -102,7 +114,7 @@ func TestScrubCleanFixtures(t *testing.T) {
 	want := map[string]Status{
 		"record-v2": StatusOK, "ooc-frames": StatusOK, "model": StatusOK,
 		"stream-ckpt": StatusOK, "json": StatusNote, "unknown": StatusNote,
-		"quarantined": StatusSkip,
+		"quarantined": StatusSkip, "level-ckpt": StatusOK,
 	}
 	got := map[string]Status{}
 	for _, r := range results {
@@ -123,7 +135,7 @@ func TestScrubFindsEveryInjectedCorruption(t *testing.T) {
 	cleanDir := t.TempDir()
 	protected := writeFixtures(t, cleanDir)
 	// Offsets past each format's magic: header field, interior, last byte.
-	magicLen := map[string]int{"record-v2": 8, "ooc-frames": 4, "model": 4, "stream-ckpt": 8}
+	magicLen := map[string]int{"record-v2": 8, "ooc-frames": 4, "model": 4, "stream-ckpt": 8, "level-ckpt": 8}
 
 	badDir := t.TempDir()
 	var wantFail int
@@ -174,5 +186,98 @@ func TestScrubFindsEveryInjectedCorruption(t *testing.T) {
 	}
 	if r := File(p); r.Status == StatusOK {
 		t.Errorf("wiped magic scrubbed as OK: %+v", r)
+	}
+}
+
+// TestScrubVerifiesRealCheckpoints: every checkpoint file the batch build
+// and the streaming engine actually write scrubs OK, and one flipped bit
+// in any of them scrubs FAIL.
+func TestScrubVerifiesRealCheckpoints(t *testing.T) {
+	const p = 2
+	g, err := datagen.New(datagen.Config{Function: 2, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := g.Generate(3000)
+	dir := t.TempDir()
+
+	bcfg := pclouds.Config{
+		Clouds: clouds.Config{Method: clouds.SSE, QRoot: 64, QMin: 8, SmallNodeQ: 4,
+			SampleSize: 400, MinNodeSize: 2, MaxDepth: 12, Seed: 7},
+		CheckpointDir:  filepath.Join(dir, "batch"),
+		StopAfterLevel: 2,
+	}
+	sample := bcfg.Clouds.SampleFor(d)
+	err = comm.Run(p, costmodel.Zero(), func(c *comm.ChannelComm) error {
+		store := ooc.NewMemStore(d.Schema, costmodel.Zero(), c.Clock())
+		w, err := store.CreateWriter("root")
+		if err != nil {
+			return err
+		}
+		for i := c.Rank(); i < d.Len(); i += p {
+			if err := w.Write(d.Records[i]); err != nil {
+				return err
+			}
+		}
+		if err := w.Close(); err != nil {
+			return err
+		}
+		if _, _, err := pclouds.Build(bcfg, c, store, "root", sample); !errors.Is(err, pclouds.ErrStopped) {
+			return fmt.Errorf("batch rank %d: want ErrStopped, got %v", c.Rank(), err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	scfg := stream.Config{
+		Schema:        datagen.Schema(),
+		Clouds:        clouds.Config{Split: clouds.SplitHist, HistBins: 8, MaxDepth: 6, MinNodeSize: 2, Seed: 1},
+		WindowRecords: 200, SampleEvery: 2, ReservoirCap: 600, RefreshEvery: 3, GrowMinRecords: 20,
+		MaxWindows: 3, CheckpointDir: filepath.Join(dir, "stream"),
+	}
+	err = comm.Run(p, costmodel.Zero(), func(c *comm.ChannelComm) error {
+		src, err := stream.NewSynthetic(datagen.Config{Function: 2, Seed: 42}, 0)
+		if err != nil {
+			return err
+		}
+		defer src.Close()
+		_, err = stream.Run(scfg, c, src)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	results, sum, err := Dir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	for _, r := range results {
+		kinds[r.Kind]++
+		if r.Status != StatusOK {
+			t.Errorf("%s (%s): %s %s", r.Path, r.Kind, r.Status, r.Detail)
+		}
+	}
+	// Two retained levels and two retained windows, one file per rank each.
+	if kinds["level-ckpt"] != 2*p || kinds["stream-ckpt"] != 2*p || sum.OK != 4*p {
+		t.Fatalf("scrubbed %v (%+v), want %d level and %d window checkpoints", kinds, sum, 2*p, 2*p)
+	}
+
+	for _, r := range results {
+		raw, err := os.ReadFile(r.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(raw)/2] ^= 0x01
+		bad := filepath.Join(t.TempDir(), filepath.Base(r.Path))
+		if err := os.WriteFile(bad, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got := File(bad); got.Status != StatusFail {
+			t.Errorf("flipped %s scrubbed %s (%s)", r.Path, got.Status, got.Detail)
+		}
 	}
 }

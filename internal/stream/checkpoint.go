@@ -6,37 +6,28 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"os"
-	"path/filepath"
-	"sort"
 
 	"pclouds/internal/comm"
+	"pclouds/internal/durable"
 	"pclouds/internal/record"
 	"pclouds/internal/tree"
 )
 
 // Window checkpoints. After every committed window each rank persists its
 // replicated engine state — committed window count, the stream high-water
-// mark, the current tree and the sample reservoir — into its own
-// subdirectory of Config.CheckpointDir:
+// mark, the current tree and the sample reservoir — as its epoch file in
+// Config.CheckpointDir, through the collective epoch protocol of
+// internal/durable (write, commit vote, vote-gated GC, collective agree
+// and step-down on resume). The state is identical on every rank (that is
+// the engine's core invariant), but each rank writes its own copy so
+// recovery never depends on a file written by the rank that died.
 //
-//	<dir>/rank-<r>/window-<w>.ck
+// File layout: a durable sealed file (magic "PCSTRMW3", body, CRC-32C
+// trailer over every preceding byte, so any bit flip is detected at the
+// door); the body, little-endian:
 //
-// The state is identical on every rank (that is the engine's core
-// invariant), but each rank writes its own copy so recovery never depends
-// on a shared file being written by the rank that died. On (re)start the
-// ranks agree collectively on the newest window every rank still has
-// (all-reduce min over each rank's newest loadable checkpoint, the same
-// newest-common agreement as the batch layer's level checkpoints) and all
-// load that window; a minimum of zero means a collective fresh start.
-// Because the commit protocol keeps ranks within one window of each other,
-// keeping keepWindows >= 2 checkpoints guarantees the agreed window is
-// still on every disk.
-//
-// File layout (little-endian):
-//
-//	magic        u64  "PCSTRMW3"
-//	fingerprint  u32  config fingerprint; a mismatch refuses to resume
+//	fingerprint  u32  config fingerprint; a mismatch makes the window
+//	                  unrestorable
 //	sourceCRC    u32  tailed file's v2 header checksum (0 = unbound); a
 //	                  mismatch refuses to resume on a swapped dataset
 //	window       u32  committed windows
@@ -53,8 +44,6 @@ import (
 //	lastPubWin   u32  window of the last gate-passed model (0 = none)
 //	lastPubLen   u32  tree.Encode bytes of that model (0 = none)
 //	lastPub      lastPubLen bytes
-//	fileCRC      u32  CRC-32C of every preceding byte; any bit flip in a
-//	                  checkpoint is detected at the door
 //
 // The drift detector and last-published model are part of the replicated
 // state machine: the publish gate compares every candidate against the
@@ -62,11 +51,8 @@ import (
 // published sequence. Encoding the detector's floats bit-exactly keeps
 // the resumed alarm window identical to the uninterrupted run's.
 
-const ckptMagic = "PCSTRMW3"
-
-// CheckpointMagic is ckptMagic for scrubbers: the 8 bytes that begin
-// every window checkpoint file.
-const CheckpointMagic = ckptMagic
+// CheckpointMagic begins every window checkpoint file.
+const CheckpointMagic = "PCSTRMW3"
 
 // ErrSourceMismatch is returned when a checkpoint was written against a
 // different dataset than the one this run reads (the bound v2 header
@@ -75,11 +61,6 @@ const CheckpointMagic = ckptMagic
 // different stream from a retained high-water mark would silently train on
 // data the checkpointed state never saw.
 var ErrSourceMismatch = errors.New("stream: checkpoint bound to a different dataset")
-
-// keepWindows is how many committed-window checkpoints each rank retains.
-// 2 suffices for the <=1 window commit skew; 3 adds one window of slack
-// against a rank whose checkpoint write failed degraded-style.
-const keepWindows = 3
 
 // ckptState is the replicated engine state one checkpoint round-trips.
 type ckptState struct {
@@ -108,14 +89,6 @@ func (cfg *Config) fingerprint() uint32 {
 	return h.Sum32()
 }
 
-func rankDir(dir string, rank int) string {
-	return filepath.Join(dir, fmt.Sprintf("rank-%03d", rank))
-}
-
-func ckptPath(dir string, rank, window int) string {
-	return filepath.Join(rankDir(dir, rank), fmt.Sprintf("window-%06d.ck", window))
-}
-
 func encodeCkpt(fp, srcCRC uint32, st *ckptState) []byte {
 	var treeBytes []byte
 	if st.tree != nil {
@@ -126,8 +99,7 @@ func encodeCkpt(fp, srcCRC uint32, st *ckptState) []byte {
 		lastPubBytes = tree.Encode(st.lastPub)
 	}
 	res := record.EncodeAll(st.reservoir)
-	out := make([]byte, 0, 8+4+4+4+8+4+len(treeBytes)+4+len(res)+1+8+24+4+4+len(lastPubBytes)+4)
-	out = append(out, ckptMagic...)
+	out := make([]byte, 0, 4+4+4+8+4+len(treeBytes)+4+len(res)+1+8+24+4+4+len(lastPubBytes))
 	out = binary.LittleEndian.AppendUint32(out, fp)
 	out = binary.LittleEndian.AppendUint32(out, srcCRC)
 	out = binary.LittleEndian.AppendUint32(out, uint32(st.window))
@@ -148,33 +120,17 @@ func encodeCkpt(fp, srcCRC uint32, st *ckptState) []byte {
 	out = binary.LittleEndian.AppendUint32(out, uint32(st.lastPubWin))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(lastPubBytes)))
 	out = append(out, lastPubBytes...)
-	return binary.LittleEndian.AppendUint32(out, record.Checksum(out))
-}
-
-// VerifyCheckpointBytes checks a window checkpoint's envelope — magic and
-// whole-file checksum — without a schema or configuration. The offline
-// scrubber's entry point; decodeCkpt performs the same check before
-// trusting any field.
-func VerifyCheckpointBytes(raw []byte) error {
-	if len(raw) < 8+4 || string(raw[:8]) != ckptMagic {
-		return fmt.Errorf("stream: not a window checkpoint")
-	}
-	body, foot := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if got := record.Checksum(body); got != foot {
-		return fmt.Errorf("stream: checkpoint checksum mismatch (want %08x got %08x)", foot, got)
-	}
-	return nil
+	return durable.Seal(CheckpointMagic, out)
 }
 
 func decodeCkpt(schema *record.Schema, fp, srcCRC uint32, src []byte) (*ckptState, error) {
-	if err := VerifyCheckpointBytes(src); err != nil {
-		return nil, err
+	src, err := durable.Unseal(CheckpointMagic, src)
+	if err != nil {
+		return nil, fmt.Errorf("stream: window checkpoint: %w", err)
 	}
-	src = src[:len(src)-4] // checksum footer verified above
-	if len(src) < 8+4+4+4+8+4 {
+	if len(src) < 4+4+4+8+4 {
 		return nil, fmt.Errorf("stream: truncated window checkpoint")
 	}
-	src = src[8:]
 	if got := binary.LittleEndian.Uint32(src); got != fp {
 		return nil, fmt.Errorf("stream: checkpoint fingerprint %08x does not match configuration %08x (window size, sampling, seed or split changed)", got, fp)
 	}
@@ -243,151 +199,35 @@ func decodeCkpt(schema *record.Schema, fp, srcCRC uint32, src []byte) (*ckptStat
 	return st, nil
 }
 
-// writeCkpt persists st atomically (temp + fsync + rename, the
-// tree.SaveFile discipline) into this rank's checkpoint directory and
-// prunes checkpoints older than the keep horizon.
-func writeCkpt(dir string, rank int, fp, srcCRC uint32, st *ckptState) error {
-	rd := rankDir(dir, rank)
-	if err := os.MkdirAll(rd, 0o755); err != nil {
-		return err
-	}
-	final := ckptPath(dir, rank, st.window)
-	tmp, err := os.CreateTemp(rd, ".tmp-window-")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(encodeCkpt(fp, srcCRC, st)); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return err
-	}
-	pruneCkpts(rd, st.window)
-	return nil
-}
-
-// pruneCkpts removes this rank's checkpoints older than the keep horizon.
-// Best-effort: pruning failures leave garbage, never break correctness.
-func pruneCkpts(rd string, newest int) {
-	entries, err := os.ReadDir(rd)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		var w int
-		if _, err := fmt.Sscanf(e.Name(), "window-%d.ck", &w); err != nil {
-			continue
-		}
-		if w <= newest-keepWindows {
-			os.Remove(filepath.Join(rd, e.Name()))
-		}
-	}
-}
-
-// newestCkpt scans this rank's checkpoint directory and returns the newest
-// loadable state (nil when there is none). Unreadable, checksum-failing or
-// fingerprint-mismatched files are skipped, so one corrupt checkpoint
-// degrades to the previous window instead of wedging recovery — with one
-// exception: a checkpoint bound to a *different dataset* surfaces as an
-// ErrSourceMismatch error instead of being skipped, because every older
-// window would carry the same binding and a silent fresh start would mask a
-// swapped input file.
-func newestCkpt(dir string, rank int, schema *record.Schema, fp, srcCRC uint32) (*ckptState, error) {
-	rd := rankDir(dir, rank)
-	entries, err := os.ReadDir(rd)
-	if err != nil {
-		return nil, nil
-	}
-	var windows []int
-	for _, e := range entries {
-		var w int
-		if _, err := fmt.Sscanf(e.Name(), "window-%d.ck", &w); err == nil {
-			windows = append(windows, w)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(windows)))
-	for _, w := range windows {
-		raw, err := os.ReadFile(ckptPath(dir, rank, w))
+// restoreCkpt runs the collective resume ladder over ep and returns the
+// restored state, or nil — on every rank — for a collective fresh start.
+// A checkpoint that does not decode (bit flip, changed configuration)
+// steps the whole group down to an older window; one bound to a
+// *different dataset* is fatal instead, because every older window carries
+// the same binding and a silent fresh start would mask a swapped input.
+func restoreCkpt(c comm.Communicator, ep *durable.Epochs, schema *record.Schema, fp, srcCRC uint32) (*ckptState, error) {
+	var st *ckptState
+	w, err := ep.Resume(c, func(w int) error {
+		raw, err := ep.Read(w)
 		if err != nil {
-			continue
+			return err
 		}
-		st, err := decodeCkpt(schema, fp, srcCRC, raw)
-		if errors.Is(err, ErrSourceMismatch) {
-			return nil, err
+		st, err = decodeCkpt(schema, fp, srcCRC, raw)
+		switch {
+		case errors.Is(err, ErrSourceMismatch):
+			return durable.Fatal(err)
+		case err == nil && st.window != w:
+			return fmt.Errorf("stream: checkpoint window %d in file for window %d", st.window, w)
 		}
-		if err != nil || st.window != w {
-			continue
-		}
-		return st, nil
-	}
-	return nil, nil
-}
-
-// loadCkpt loads this rank's checkpoint for one specific window.
-func loadCkpt(dir string, rank, window int, schema *record.Schema, fp, srcCRC uint32) (*ckptState, error) {
-	raw, err := os.ReadFile(ckptPath(dir, rank, window))
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	st, err := decodeCkpt(schema, fp, srcCRC, raw)
-	if err != nil {
-		return nil, err
-	}
-	if st.window != window {
-		return nil, fmt.Errorf("stream: checkpoint window %d in file for window %d", st.window, window)
-	}
-	return st, nil
-}
-
-// agreeResume runs the collective resume agreement: every rank reports its
-// newest loadable checkpoint window, the group all-reduces the minimum, and
-// every rank loads exactly that window. A minimum of zero (some rank has
-// nothing) is a collective fresh start: every rank wipes its own
-// checkpoints so stale state can never resurface after the replayed stream
-// diverges from it.
-func agreeResume(cfg *Config, c comm.Communicator) (*ckptState, error) {
-	fp := cfg.fingerprint()
-	newest := 0
-	local, err := newestCkpt(cfg.CheckpointDir, c.Rank(), cfg.Schema, fp, cfg.SourceChecksum)
-	if err != nil {
-		return nil, err
-	}
-	if local != nil {
-		newest = local.window
-	}
-	agreed, err := comm.AllReduceInt64(c, []int64{int64(newest)}, minI64)
-	if err != nil {
-		return nil, err
-	}
-	w := int(agreed[0])
-	if w <= 0 {
-		if err := os.RemoveAll(rankDir(cfg.CheckpointDir, c.Rank())); err != nil {
-			return nil, fmt.Errorf("stream: clearing stale checkpoints: %w", err)
-		}
+	if w == 0 {
+		ep.Wipe()
 		return nil, nil
 	}
-	if local != nil && local.window == w {
-		return local, nil
-	}
-	st, err := loadCkpt(cfg.CheckpointDir, c.Rank(), w, cfg.Schema, fp, cfg.SourceChecksum)
-	if err != nil {
-		return nil, fmt.Errorf("stream: rank %d cannot load agreed window %d: %w", c.Rank(), w, err)
-	}
+	ep.Retain(w)
 	return st, nil
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -10,9 +10,9 @@
 //
 // The window state machine, per rank:
 //
-//	resume    collective agreement on the newest window checkpoint every
-//	          rank still has (all-reduce min); replay the source to the
-//	          agreed high-water mark, or fresh-start from record 0.
+//	resume    restore the newest window checkpoint every rank can restore
+//	          (the internal/durable resume ladder); replay the source to its
+//	          high-water mark, or fresh-start from record 0.
 //	ingest    scan the global stream; own records with index % p == rank;
 //	          accumulate owned records into per-frontier-leaf sketches and
 //	          a 1-in-SampleEvery reservoir sample.
@@ -25,7 +25,8 @@
 //	commit    validate the model and all-reduce an ok flag (min): all
 //	          ranks agree window N is good before model N publishes.
 //	publish   rank 0 writes the model atomically (tree.SaveFile) into
-//	          PublishDir; every rank checkpoints its replicated state.
+//	          PublishDir; every rank commits a checkpoint of its
+//	          replicated state (write, then vote).
 //
 // Determinism: with a fixed seed and count-based window boundaries, the
 // published model sequence is bit-identical at any rank count — ownership
@@ -46,6 +47,7 @@ import (
 
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
+	"pclouds/internal/durable"
 	"pclouds/internal/histogram"
 	"pclouds/internal/obs"
 	"pclouds/internal/record"
@@ -229,6 +231,7 @@ type engine struct {
 	c    comm.Communicator
 	src  Source
 	fp   uint32
+	ckpt *durable.Epochs // nil without a checkpoint directory
 	live *liveMetrics
 
 	window    int   // committed windows
@@ -280,6 +283,9 @@ func Run(cfg Config, c comm.Communicator, src Source) (*Result, error) {
 	cfg = cfg.withDefaults()
 	e := &engine{cfg: cfg, c: c, src: src, fp: cfg.fingerprint(), pubHist: obs.NewHistogram(obs.ExpBounds(1e-4, 2, 14)...)}
 	e.live = newLiveMetrics(cfg.Metrics, e)
+	if cfg.CheckpointDir != "" {
+		e.ckpt = &durable.Epochs{Dir: cfg.CheckpointDir, Rank: c.Rank(), Warnf: cfg.Logf}
+	}
 	if err := e.resume(); err != nil {
 		return nil, err
 	}
@@ -308,10 +314,10 @@ func (e *engine) stopped() bool {
 // checkpoint and replays the source to its high-water mark. Without a
 // checkpoint directory every start is fresh.
 func (e *engine) resume() error {
-	if e.cfg.CheckpointDir == "" {
+	if e.ckpt == nil {
 		return nil
 	}
-	st, err := agreeResume(&e.cfg, e.c)
+	st, err := restoreCkpt(e.c, e.ckpt, e.cfg.Schema, e.fp, e.cfg.SourceChecksum)
 	if err != nil {
 		return err
 	}
@@ -617,16 +623,22 @@ func (e *engine) closeWindow(refresh bool) error {
 		}
 		e.lastPub, e.lastPubWin = snap, e.window
 	}
-	if e.cfg.CheckpointDir != "" {
+	if e.ckpt != nil {
 		st := &ckptState{
 			window: e.window, nextIdx: e.nextIdx, tree: e.tree, reservoir: e.reservoir,
 			det: e.det, driftPending: e.driftPending, lastPub: e.lastPub, lastPubWin: e.lastPubWin,
 		}
-		if err := writeCkpt(e.cfg.CheckpointDir, e.c.Rank(), e.fp, e.cfg.SourceChecksum, st); err != nil {
+		saveErr, err := e.ckpt.Commit(e.c, e.window, func() ([]byte, error) {
+			return encodeCkpt(e.fp, e.cfg.SourceChecksum, st), nil
+		})
+		if err != nil {
+			return err
+		}
+		if saveErr != nil {
 			// Degraded mode: losing durability on one rank must not kill
-			// the pipeline; resume degrades toward an older (or fresh)
-			// agreed window instead.
-			e.cfg.Logf("stream: rank %d: window %d checkpoint failed (continuing): %v", e.c.Rank(), e.window, err)
+			// the pipeline; the window does not commit anywhere and resume
+			// falls back to the newest committed one.
+			e.cfg.Logf("stream: rank %d: window %d checkpoint failed (continuing): %v", e.c.Rank(), e.window, saveErr)
 		}
 	}
 	e.live.set(e)
