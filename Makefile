@@ -65,14 +65,16 @@ chaos-quick: vet
 # JSON/binary rows must get a 4xx, never a panic), the stream window and
 # batch level checkpoint decoders (garbage must error, accepted bytes must
 # re-encode identically), the v2 record-block decoder (corrupt blocks must fail
-# their CRC, never decode silently), and the guide-table Locate (must equal
-# a binary search on any cut set and value).
+# their CRC, never decode silently), the guide-table Locate (must equal
+# a binary search on any cut set and value), and the presorted small-node
+# builder (must equal the per-node-sort reference tree and stats).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClassifyRequest -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=10s ./internal/stream
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeManifest -fuzztime=10s ./internal/pclouds
 	$(GO) test -run='^$$' -fuzz=FuzzRecordBlock -fuzztime=10s ./internal/record
 	$(GO) test -run='^$$' -fuzz=FuzzLocate -fuzztime=10s ./internal/histogram
+	$(GO) test -run='^$$' -fuzz=FuzzPresortedBuild -fuzztime=10s ./internal/clouds
 
 # -run='^$' keeps the benchmark pass from re-running the unit-test suite.
 bench:

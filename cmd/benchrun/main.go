@@ -439,7 +439,7 @@ func streamDriftBench(seed int64) (benchfmt.Benchmark, error) {
 		procs      = 4
 		windows    = 12
 		windowRecs = 400
-		flipAt     = 2400 // mid-window 7: windows 1-6 are stationary
+		flipAt     = 2400 // the window 6/7 boundary: windows 1-6 are stationary
 	)
 	dir, err := os.MkdirTemp("", "benchrun-stream-drift-")
 	if err != nil {

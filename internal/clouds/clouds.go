@@ -251,10 +251,8 @@ type builder struct {
 	schema *record.Schema
 	nRoot  int64
 	stats  BuildStats
-	// pts is the direct method's point buffer, spill the right-hand
-	// records of an in-place partition; both are sized by the largest node
-	// and reused by every smaller one.
-	pts   []Point
+	// spill holds the right-hand records of a large node's in-place
+	// partition; sized by the largest node and reused by every smaller one.
 	spill []record.Record
 }
 
@@ -271,7 +269,7 @@ func BuildInCore(cfg Config, data *record.Dataset, sample []record.Record) (*tre
 	}
 	b := &builder{cfg: cfg, schema: data.Schema, nRoot: int64(data.Len())}
 	span := cfg.Trace.Start("incore-build")
-	// The build partitions its records in place: work on a copy so the
+	// Large nodes partition their records in place: work on a copy so the
 	// caller's dataset keeps its order.
 	root := b.build(slices.Clone(data.Records), sample, 0)
 	span.End()
@@ -283,11 +281,15 @@ func BuildInCore(cfg Config, data *record.Dataset, sample []record.Record) (*tre
 // BuildSubtree builds a subtree over in-memory records starting at the
 // given depth, with nRoot the *global* root size so that interval counts
 // and small-node decisions match a full build. pCLOUDS uses it to solve
-// shipped small nodes on their assigned processor. recs is reordered in
-// place.
+// shipped small nodes on their assigned processor. recs is left as it is:
+// a small root reads it through presorted attribute lists, and a large
+// one partitions a copy.
 func BuildSubtree(cfg Config, schema *record.Schema, recs, sample []record.Record, depth int, nRoot int64) (*tree.Node, *BuildStats) {
 	cfg = cfg.withDefaults()
 	b := &builder{cfg: cfg, schema: schema, nRoot: nRoot}
+	if !cfg.IsSmall(int64(len(recs)), nRoot) {
+		recs = slices.Clone(recs)
+	}
 	span := cfg.Trace.Start("small-subtree")
 	nd := b.build(recs, sample, depth)
 	span.End()
@@ -295,12 +297,19 @@ func BuildSubtree(cfg Config, schema *record.Schema, recs, sample []record.Recor
 	return nd, &st
 }
 
+// leaf makes a leaf node that takes ownership of classCounts.
 func (b *builder) leaf(classCounts []int64, n int64) *tree.Node {
-	nd := &tree.Node{ClassCounts: gini.Clone(classCounts), N: n}
+	nd := &tree.Node{ClassCounts: classCounts, N: n}
 	nd.Class = nd.Majority()
 	b.stats.Nodes++
 	b.stats.Leaves++
 	return nd
+}
+
+func (b *builder) noteDepth(depth int) {
+	if depth > b.stats.MaxDepth {
+		b.stats.MaxDepth = depth
+	}
 }
 
 // ShouldStop applies the stopping criteria shared by every driver
@@ -326,31 +335,25 @@ func (b *builder) shouldStop(classCounts []int64, n int64, depth int) bool {
 	return b.cfg.ShouldStop(classCounts, n, depth)
 }
 
+// build builds the subtree of recs. A large node splits with the
+// configured method, partitions recs in place and recurses; the first small
+// node presorts its records and solves its whole subtree from the lists.
 func (b *builder) build(recs []record.Record, sample []record.Record, depth int) *tree.Node {
-	if depth > b.stats.MaxDepth {
-		b.stats.MaxDepth = depth
-	}
+	b.noteDepth(depth)
 	n := int64(len(recs))
-	classCounts := make([]int64, b.schema.NumClasses)
-	for _, r := range recs {
-		classCounts[r.Class]++
-	}
+	classCounts := countClasses(b.schema, recs)
 	if b.shouldStop(classCounts, n, depth) {
 		return b.leaf(classCounts, n)
 	}
-
-	var cand Candidate
 	if b.cfg.IsSmall(n, b.nRoot) {
-		b.stats.SmallNodes++
-		b.stats.RecordReads += n
-		if cap(b.pts) < len(recs) {
-			b.pts = make([]Point, len(recs))
-		}
-		cand = directSplit(b.schema, recs, b.pts[:len(recs)])
-	} else {
-		b.stats.LargeNodes++
-		cand = b.largeNodeSplit(recs, sample, n)
+		ps := presort(b.schema, recs)
+		nd := b.buildSorted(ps, 0, len(recs), classCounts, depth)
+		ps.release()
+		return nd
 	}
+
+	b.stats.LargeNodes++
+	cand := b.largeNodeSplit(recs, sample, n)
 	if !cand.Valid {
 		return b.leaf(classCounts, n)
 	}
@@ -362,7 +365,11 @@ func (b *builder) build(recs []record.Record, sample []record.Record, depth int)
 	if len(leftRecs) == 0 || len(rightRecs) == 0 {
 		return b.leaf(classCounts, n)
 	}
-	leftSample, rightSample := PartitionRecords(b.schema, sample, sp)
+	// Only large nodes read samples.
+	var leftSample, rightSample []record.Record
+	if !b.cfg.IsSmall(int64(len(leftRecs)), b.nRoot) || !b.cfg.IsSmall(int64(len(rightRecs)), b.nRoot) {
+		leftSample, rightSample = PartitionRecords(b.schema, sample, sp)
+	}
 
 	nd := &tree.Node{Splitter: sp, ClassCounts: classCounts, N: n}
 	nd.Class = nd.Majority()

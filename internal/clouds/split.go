@@ -184,8 +184,9 @@ func bestNumericBoundary(nst *NumericStats, total []int64, nTotal int64) Candida
 	return best
 }
 
-// bestCategorical evaluates one categorical attribute's subset split.
-func bestCategorical(cm *gini.CountMatrix, attr int, total []int64, nTotal int64) Candidate {
+// subsetCandidate is cm's best subset split as a candidate of attribute
+// attr, invalid when one side would be empty. LeftCounts stays nil.
+func subsetCandidate(cm *gini.CountMatrix, attr int, nTotal int64) Candidate {
 	ss := cm.BestSubsetSplit()
 	var nLeft int64
 	for v, in := range ss.InLeft {
@@ -196,7 +197,7 @@ func bestCategorical(cm *gini.CountMatrix, attr int, total []int64, nTotal int64
 	if nLeft == 0 || nLeft == nTotal {
 		return Candidate{Valid: false, Gini: math.Inf(1)}
 	}
-	cand := Candidate{
+	return Candidate{
 		Valid:  true,
 		Gini:   ss.Gini,
 		Attr:   attr,
@@ -204,8 +205,17 @@ func bestCategorical(cm *gini.CountMatrix, attr int, total []int64, nTotal int64
 		InLeft: ss.InLeft,
 		LeftN:  nLeft,
 	}
+}
+
+// bestCategorical evaluates one categorical attribute's subset split,
+// with the left side's class counts.
+func bestCategorical(cm *gini.CountMatrix, attr int, total []int64, nTotal int64) Candidate {
+	cand := subsetCandidate(cm, attr, nTotal)
+	if !cand.Valid {
+		return cand
+	}
 	left := make([]int64, len(total))
-	for v, in := range ss.InLeft {
+	for v, in := range cand.InLeft {
 		if in {
 			gini.Add(left, cm.Counts[v])
 		}
@@ -350,39 +360,13 @@ func EvaluateInterval(attr int, leftBefore, total []int64, pts []Point) Candidat
 		return best
 	}
 	SortPoints(pts)
-	nTotal := gini.Sum(total)
-	left := gini.Clone(leftBefore)
-	right := make([]int64, len(total))
-	var nLeft int64 = gini.Sum(leftBefore)
-	for i := 0; i < len(pts); i++ {
-		if math.IsNaN(pts[i].V) {
-			break // NaN sorts last and is never a threshold
-		}
-		left[pts[i].Class]++
-		nLeft++
-		// Only evaluate at the last occurrence of each distinct value.
-		if i+1 < len(pts) && pts[i+1].V == pts[i].V {
-			continue
-		}
-		if nLeft == 0 || nLeft == nTotal {
-			continue
-		}
-		for k := range right {
-			right[k] = total[k] - left[k]
-		}
-		cand := Candidate{
-			Valid:     true,
-			Gini:      gini.SplitIndex(left, right),
-			Attr:      attr,
-			Kind:      tree.NumericSplit,
-			Threshold: pts[i].V,
-			LeftN:     nLeft,
-		}
-		if cand.Better(best) {
-			cand.LeftCounts = gini.Clone(left)
-			best = cand
-		}
-	}
+	// One slab holds the running counts, the right side, and the best
+	// candidate's left counts, which every improvement overwrites.
+	c := len(total)
+	buf := make([]int64, 3*c)
+	left, right, leftCounts := buf[:c], buf[c:2*c], buf[2*c:]
+	copy(left, leftBefore)
+	scanSorted(attr, pts, left, right, total, gini.Sum(leftBefore), gini.Sum(total), &best, leftCounts)
 	return best
 }
 

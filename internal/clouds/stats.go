@@ -254,10 +254,15 @@ func BuildIntervals(schema *record.Schema, sample []record.Record, q int) []*his
 	return out
 }
 
-// Point is one (value, class) observation inside an alive interval.
+// Point is one (value, class) observation of a numeric attribute: inside
+// an alive interval, or in a small subtree's presorted attribute list.
 type Point struct {
 	V     float64
 	Class int32
+	// Idx is the record's position in a presorted small task; it fills
+	// what would be padding, is ignored by the point order, and is never
+	// shipped (the point wire codec carries V and Class).
+	Idx int32
 }
 
 // SortPoints orders points canonically, so in-interval evaluation is

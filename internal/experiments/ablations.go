@@ -190,7 +190,8 @@ func (h Harness) SplitMethodsAblation(nTrain, nTest int) ([]SplitMethodRow, erro
 			SurvivalRatio: st.SurvivalRatio(),
 		})
 	}
-	// Direct method: force every node small so DirectSplit drives the tree.
+	// Direct method: force every node small, so the root is the first small
+	// node and the whole tree is solved from its presorted attribute lists.
 	cfg := h.cloudsConfig()
 	cfg.SmallNodeQ = cfg.QRoot + 1
 	tr, st, err := clouds.BuildInCore(cfg, train, sample)

@@ -5,17 +5,19 @@
 package gini
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Index returns the gini impurity 1 - sum_i (c_i/n)^2 of a class-frequency
 // vector. An empty vector has impurity 0 by convention.
 func Index(counts []int64) float64 {
-	var n int64
-	for _, c := range counts {
-		n += c
-	}
+	return indexN(counts, Sum(counts))
+}
+
+// indexN is Index for a vector whose total n the caller already knows.
+func indexN(counts []int64, n int64) float64 {
 	if n == 0 {
 		return 0
 	}
@@ -35,19 +37,20 @@ func Index(counts []int64) float64 {
 //
 // Both sides empty yields 0.
 func SplitIndex(left, right []int64) float64 {
-	var nl, nr int64
-	for _, c := range left {
-		nl += c
-	}
-	for _, c := range right {
-		nr += c
-	}
+	return SplitIndexN(left, right, Sum(left), Sum(right))
+}
+
+// SplitIndexN is SplitIndex for callers that already hold the side sizes
+// nl = Sum(left) and nr = Sum(right), as the sorted scans do; it performs
+// the same floating-point operations in the same order, so the result is
+// bit-identical.
+func SplitIndexN(left, right []int64, nl, nr int64) float64 {
 	n := nl + nr
 	if n == 0 {
 		return 0
 	}
 	fn := float64(n)
-	return float64(nl)/fn*Index(left) + float64(nr)/fn*Index(right)
+	return float64(nl)/fn*indexN(left, nl) + float64(nr)/fn*indexN(right, nr)
 }
 
 // Sum returns the total count of a frequency vector.
@@ -157,16 +160,35 @@ func lowerBoundGreedy(left, interval, total []int64) float64 {
 // cls.
 type CountMatrix struct {
 	Counts [][]int64
+	// flat backs every row of Counts.
+	flat []int64
 }
 
 // NewCountMatrix creates a cardinality×classes matrix of zeros.
 func NewCountMatrix(cardinality, classes int) *CountMatrix {
-	m := &CountMatrix{Counts: make([][]int64, cardinality)}
-	flat := make([]int64, cardinality*classes)
-	for v := range m.Counts {
-		m.Counts[v], flat = flat[:classes], flat[classes:]
-	}
+	m := &CountMatrix{}
+	m.Reset(cardinality, classes)
 	return m
+}
+
+// Reset reshapes m into a cardinality×classes matrix of zeros, reusing its
+// storage when that is large enough, so one matrix can serve every node
+// of a build.
+func (m *CountMatrix) Reset(cardinality, classes int) {
+	n := cardinality * classes
+	if cap(m.flat) < n {
+		m.flat = make([]int64, n)
+	} else {
+		m.flat = m.flat[:n]
+		clear(m.flat)
+	}
+	if cap(m.Counts) < cardinality {
+		m.Counts = make([][]int64, cardinality)
+	}
+	m.Counts = m.Counts[:cardinality]
+	for v := range m.Counts {
+		m.Counts[v] = m.flat[v*classes : (v+1)*classes : (v+1)*classes]
+	}
 }
 
 // Add records one observation.
@@ -248,12 +270,14 @@ func (m *CountMatrix) BestSubsetSplit() SubsetSplit {
 }
 
 func (m *CountMatrix) bestSubsetTwoClass() SubsetSplit {
-	card := m.Cardinality()
 	type vp struct {
 		value int
 		prop  float64
 	}
-	order := make([]vp, 0, card)
+	// Cardinalities up to len(buf) sort on the stack.
+	var buf [32]vp
+	order := buf[:0]
+	var total [2]int64
 	for v, row := range m.Counts {
 		n := row[0] + row[1]
 		p := 0.0
@@ -261,29 +285,34 @@ func (m *CountMatrix) bestSubsetTwoClass() SubsetSplit {
 			p = float64(row[1]) / float64(n)
 		}
 		order = append(order, vp{v, p})
+		total[0] += row[0]
+		total[1] += row[1]
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].prop != order[j].prop {
-			return order[i].prop < order[j].prop
+	slices.SortFunc(order, func(a, b vp) int {
+		if a.prop != b.prop {
+			return cmp.Compare(a.prop, b.prop)
 		}
-		return order[i].value < order[j].value
+		return cmp.Compare(a.value, b.value)
 	})
-	total := m.Total()
-	left := make([]int64, 2)
-	right := Clone(total)
-	best := SubsetSplit{InLeft: make([]bool, card), Gini: SplitIndex(left, right)}
-	cur := make([]bool, card)
-	for k := 0; k < card-1; k++ {
-		v := order[k].value
-		cur[v] = true
-		Add(left, m.Counts[v])
-		Sub(right, m.Counts[v])
-		if g := SplitIndex(left, right); g < best.Gini {
-			best.Gini = g
-			copy(best.InLeft, cur)
+	// The optimum is a prefix of order: track its length, then mark it.
+	var left [2]int64
+	right := total
+	bestGini, bestK := SplitIndex(left[:], right[:]), 0
+	for k := 0; k < len(order)-1; k++ {
+		row := m.Counts[order[k].value]
+		left[0] += row[0]
+		left[1] += row[1]
+		right[0] -= row[0]
+		right[1] -= row[1]
+		if g := SplitIndex(left[:], right[:]); g < bestGini {
+			bestGini, bestK = g, k+1
 		}
 	}
-	return best
+	inLeft := make([]bool, len(order))
+	for _, o := range order[:bestK] {
+		inLeft[o.value] = true
+	}
+	return SubsetSplit{InLeft: inLeft, Gini: bestGini}
 }
 
 func (m *CountMatrix) bestSubsetExhaustive() SubsetSplit {

@@ -65,6 +65,21 @@ func TestPointBucketCodec(t *testing.T) {
 	}
 }
 
+// encodeTaskRecords frames non-empty buckets as the small-node phase
+// frames tasks: bucket i becomes task i's frame.
+func encodeTaskRecords(buckets [][]record.Record) []byte {
+	var out []byte
+	for i, recs := range buckets {
+		var head int
+		out, head = openTaskFrame(out)
+		for _, r := range recs {
+			out = r.Encode(out)
+		}
+		out = closeTaskFrame(out, head, i, int64(len(recs)))
+	}
+	return out
+}
+
 func TestTaskRecordCodec(t *testing.T) {
 	schema := datagen.Schema()
 	g, _ := datagen.New(datagen.Config{Function: 2, Seed: 1})

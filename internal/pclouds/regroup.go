@@ -67,37 +67,38 @@ func (b *pbuilder) smallNodePhaseRegroup(small []*nodeTask) error {
 	groups := assignGroups(small, p)
 
 	// Ship each task's records to every member of its group, in one
-	// all-to-all.
+	// all-to-all. A task's frame is encoded once, straight from the scan,
+	// into its first member's part and copied to the others'; every part
+	// is presized from the partition pass's per-file record counts.
 	rspan := b.rec.Start("small-redistribute")
-	perDest := make([][][]record.Record, p)
-	for d := range perDest {
-		perDest[d] = make([][]record.Record, len(small))
+	rb := b.schema.RecordBytes()
+	sizes := make([]int, p)
+	for i, t := range small {
+		for d := groups[i].lo; d < groups[i].hi; d++ {
+			sizes[d] += 8 + int(t.localN)*rb
+		}
+	}
+	parts := make([][]byte, p)
+	for d := range parts {
+		parts[d] = make([]byte, 0, sizes[d])
 	}
 	for i, t := range small {
 		g := groups[i]
-		var localN int64
-		if err := b.scanFrontier(t.file, func(r *record.Record) error {
-			localN++
-			rec := r.Clone()
-			for d := g.lo; d < g.hi; d++ {
-				perDest[d][i] = append(perDest[d][i], rec)
-			}
-			return nil
-		}); err != nil {
+		head := len(parts[g.lo])
+		buf, localN, err := b.appendTaskFrame(parts[g.lo], i, t)
+		if err != nil {
 			return err
 		}
-		b.stats.Build.RecordReads += localN
-		b.chargeCPU(localN)
+		parts[g.lo] = buf
+		for d := g.lo + 1; d < g.hi; d++ {
+			parts[d] = append(parts[d], buf[head:]...)
+		}
 		for d := g.lo; d < g.hi; d++ {
 			if d != rank {
 				b.stats.RecordsShipped += localN
 			}
 		}
 		b.removeFile(t.file)
-	}
-	parts := make([][]byte, p)
-	for d := 0; d < p; d++ {
-		parts[d] = encodeTaskRecords(perDest[d])
 	}
 	recv, err := comm.AllToAll(b.c, parts)
 	if err != nil {

@@ -46,25 +46,11 @@ func (b *pbuilder) smallNodePhase(small []*nodeTask) error {
 	}
 	for i, t := range small {
 		d := owner[i]
-		head := len(parts[d])
-		buf := append(parts[d], make([]byte, 8)...)
-		var localN int64
-		if err := b.scanFrontier(t.file, func(r *record.Record) error {
-			localN++
-			buf = r.Encode(buf)
-			return nil
-		}); err != nil {
+		buf, localN, err := b.appendTaskFrame(parts[d], i, t)
+		if err != nil {
 			return err
 		}
-		if localN == 0 {
-			buf = buf[:head]
-		} else {
-			binary.LittleEndian.PutUint32(buf[head:], uint32(i))
-			binary.LittleEndian.PutUint32(buf[head+4:], uint32(localN))
-		}
 		parts[d] = buf
-		b.stats.Build.RecordReads += localN
-		b.chargeCPU(localN)
 		if d != rank {
 			b.stats.RecordsShipped += localN
 		}
@@ -163,33 +149,40 @@ func assignTasks(tasks []*nodeTask, p int) []int {
 	return owner
 }
 
-// encodeTaskRecords frames non-empty buckets as [u32 taskIdx][u32 n][n
-// records], into a buffer sized up front.
-func encodeTaskRecords(buckets [][]record.Record) []byte {
-	size := 0
-	for _, recs := range buckets {
-		if len(recs) > 0 {
-			size += 8
-		}
-		for _, r := range recs {
-			size += 8*len(r.Num) + 4*len(r.Cat) + 4
-		}
+// appendTaskFrame scans this rank's records of task t and appends them
+// to dst as task idx's frame, encoded straight from the scan, charging the
+// scan. A rank holding none of the task's records appends nothing.
+func (b *pbuilder) appendTaskFrame(dst []byte, idx int, t *nodeTask) ([]byte, int64, error) {
+	dst, head := openTaskFrame(dst)
+	var n int64
+	if err := b.scanFrontier(t.file, func(r *record.Record) error {
+		n++
+		dst = r.Encode(dst)
+		return nil
+	}); err != nil {
+		return nil, 0, err
 	}
-	out := make([]byte, 0, size)
-	var b4 [4]byte
-	for i, recs := range buckets {
-		if len(recs) == 0 {
-			continue
-		}
-		binary.LittleEndian.PutUint32(b4[:], uint32(i))
-		out = append(out, b4[:]...)
-		binary.LittleEndian.PutUint32(b4[:], uint32(len(recs)))
-		out = append(out, b4[:]...)
-		for _, r := range recs {
-			out = r.Encode(out)
-		}
+	b.stats.Build.RecordReads += n
+	b.chargeCPU(n)
+	return closeTaskFrame(dst, head, idx, n), n, nil
+}
+
+// openTaskFrame appends a task frame's [u32 taskIdx][u32 n] header, to be
+// filled by closeTaskFrame once the records behind it are encoded, and
+// returns the header's offset.
+func openTaskFrame(dst []byte) ([]byte, int) {
+	return append(dst, make([]byte, 8)...), len(dst)
+}
+
+// closeTaskFrame fills the header at head for n records of task idx, or
+// drops the frame when n is 0.
+func closeTaskFrame(dst []byte, head, idx int, n int64) []byte {
+	if n == 0 {
+		return dst[:head]
 	}
-	return out
+	binary.LittleEndian.PutUint32(dst[head:], uint32(idx))
+	binary.LittleEndian.PutUint32(dst[head+4:], uint32(n))
+	return dst
 }
 
 func decodeTaskRecords(schema *record.Schema, src []byte, into [][]record.Record) error {
